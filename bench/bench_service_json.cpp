@@ -5,7 +5,9 @@
 // (SolveService throughput in jobs/sec at queue depth >= workers: cold,
 // in-memory cache-warm, disk-warm from a persisted snapshot in a fresh
 // service, and net-warm — client→server jobs/s through qross::net over
-// loopback TCP, isolating the wire protocol's per-job overhead, plus the
+// loopback TCP, isolating the wire protocol's per-job overhead; the two
+// warm rates are best-of-3 fixed-duration windows with their spread, since
+// one 64-job pass takes a few milliseconds — plus the
 // PR 8 tuning-service numbers: batched surrogate prediction rows/s versus
 // one-at-a-time and the cross-session combiner under thread contention),
 // so the perf trajectory is diffable from this PR on.
@@ -230,6 +232,46 @@ struct ServicePass {
   double wall_seconds = 0.0;
   double jobs_per_sec = 0.0;
 };
+
+/// A warm rate measured over fixed-duration windows: each window repeats a
+/// pass until kWarmWindowSeconds elapse; the best window is the headline
+/// and (best - worst) / best the spread.
+struct WindowedRate {
+  double best_jobs_per_sec = 0.0;
+  double worst_jobs_per_sec = 0.0;
+  std::size_t jobs = 0;  ///< across all windows
+
+  double spread_pct() const {
+    return best_jobs_per_sec > 0.0
+               ? 100.0 * (best_jobs_per_sec - worst_jobs_per_sec) /
+                     best_jobs_per_sec
+               : 0.0;
+  }
+};
+
+constexpr double kWarmWindowSeconds = 0.5;
+constexpr int kWarmWindows = 3;
+
+/// `pass()` runs one round and returns the jobs it completed.
+template <typename Pass>
+WindowedRate measure_windows(Pass&& pass) {
+  WindowedRate rate;
+  for (int window = 0; window < kWarmWindows; ++window) {
+    Stopwatch watch;
+    std::size_t jobs = 0;
+    do {
+      jobs += pass();
+    } while (watch.elapsed_seconds() < kWarmWindowSeconds);
+    const double jobs_per_sec =
+        static_cast<double>(jobs) / watch.elapsed_seconds();
+    rate.best_jobs_per_sec = std::max(rate.best_jobs_per_sec, jobs_per_sec);
+    rate.worst_jobs_per_sec = window == 0 ? jobs_per_sec
+                                          : std::min(rate.worst_jobs_per_sec,
+                                                     jobs_per_sec);
+    rate.jobs += jobs;
+  }
+  return rate;
+}
 
 /// Submits every model once (all up front, so the queue depth at submit is
 /// `models.size()`, far above the worker count) and waits for the lot.
@@ -533,13 +575,14 @@ int main(int argc, char** argv) {
     models.push_back(
         mvc::generate_random_mvc(64, 0.08, 0x2000 + k).to_qubo(2.0));
   }
-  ServicePass cold, warm, disk_warm, net_warm;
+  ServicePass cold, disk_warm;
+  WindowedRate warm, net_warm;
   service::ServiceMetrics metrics, disk_metrics;
   std::size_t net_cache_hits = 0;
   {
     service::SolveService svc(config);
     cold = run_service_pass(svc, solver, models, options);
-    warm = run_service_pass(svc, solver, models, options);
+    run_service_pass(svc, solver, models, options);  // one warm pass
     // cache_stored lags job completion by the journal append I/O; settle it
     // so the committed artifact is deterministic (64, not sometimes 63).
     Stopwatch settle;
@@ -547,7 +590,13 @@ int main(int argc, char** argv) {
            settle.elapsed_seconds() < 5.0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    // Snapshot before the windows, so the metrics block keeps describing
+    // one cold and one warm pass rather than a run-length-dependent total.
     metrics = svc.metrics();
+    warm = measure_windows([&] {
+      run_service_pass(svc, solver, models, options);
+      return models.size();
+    });
   }  // destructor compacts the journal into the snapshot
   {
     // A fresh service (stand-in for a fresh process) warm-starts from disk:
@@ -590,28 +639,29 @@ int main(int argc, char** argv) {
       job.seed = options.seed;
       jobs.push_back(std::move(job));
     }
-    Stopwatch watch;
-    const auto results = client.run(jobs);
-    net_warm.wall_seconds = watch.elapsed_seconds();
-    net_warm.jobs_per_sec =
-        static_cast<double>(results.size()) / net_warm.wall_seconds;
-    for (const auto& result : results) {
-      if (result.status != service::JobStatus::done) {
-        std::fprintf(stderr, "bench net job unexpectedly %s\n",
-                     service::to_string(result.status));
-        return 1;
+    net_warm = measure_windows([&] {
+      const auto results = client.run(jobs);
+      for (const auto& result : results) {
+        if (result.status != service::JobStatus::done) {
+          std::fprintf(stderr, "bench net job unexpectedly %s\n",
+                       service::to_string(result.status));
+          std::exit(1);
+        }
+        if (result.cache_hit) ++net_cache_hits;
       }
-      if (result.cache_hit) ++net_cache_hits;
-    }
+      return results.size();
+    });
     server.stop();
   }
   std::fprintf(stderr,
-               "service: cold %.1f jobs/s, cache-warm %.1f jobs/s, disk-warm "
-               "%.1f jobs/s (%zu loaded, %zu invocations in warm pass), "
-               "net-warm %.1f jobs/s over tcp\n",
-               cold.jobs_per_sec, warm.jobs_per_sec, disk_warm.jobs_per_sec,
-               disk_metrics.cache_loaded, disk_metrics.solver_invocations,
-               net_warm.jobs_per_sec);
+               "service: cold %.1f jobs/s, cache-warm %.1f jobs/s (spread "
+               "%.1f%%), disk-warm %.1f jobs/s (%zu loaded, %zu invocations "
+               "in warm pass), net-warm %.1f jobs/s over tcp (spread "
+               "%.1f%%)\n",
+               cold.jobs_per_sec, warm.best_jobs_per_sec, warm.spread_pct(),
+               disk_warm.jobs_per_sec, disk_metrics.cache_loaded,
+               disk_metrics.solver_invocations, net_warm.best_jobs_per_sec,
+               net_warm.spread_pct());
 
   // --- fairness: polite-client wait under a greedy flood, FIFO vs DRR ------
   constexpr std::size_t kGreedyJobs = 32;
@@ -804,7 +854,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"qross-bench-service-v7\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"qross-bench-service-v8\",\n");
   std::fprintf(f, "  \"workers\": %zu,\n  \"jobs\": %zu,\n", kWorkers, kJobs);
   std::fprintf(f,
                "  \"simd\": {\"kernel\": \"%s\", \"avx2_supported\": %s},\n",
@@ -815,9 +865,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"cold\": {\"wall_seconds\": %.4f, \"jobs_per_sec\": %.2f},\n",
                cold.wall_seconds, cold.jobs_per_sec);
-  std::fprintf(
-      f, "  \"cache_warm\": {\"wall_seconds\": %.4f, \"jobs_per_sec\": %.2f},\n",
-      warm.wall_seconds, warm.jobs_per_sec);
+  std::fprintf(f,
+               "  \"cache_warm\": {\"window_seconds\": %.2f, \"windows\": %d, "
+               "\"jobs_per_sec\": %.2f, \"worst_jobs_per_sec\": %.2f, "
+               "\"spread_pct\": %.2f, \"jobs\": %zu},\n",
+               kWarmWindowSeconds, kWarmWindows, warm.best_jobs_per_sec,
+               warm.worst_jobs_per_sec, warm.spread_pct(), warm.jobs);
   std::fprintf(
       f,
       "  \"disk_warm\": {\"wall_seconds\": %.4f, \"jobs_per_sec\": %.2f, "
@@ -826,9 +879,12 @@ int main(int argc, char** argv) {
       disk_metrics.cache_loaded, disk_metrics.solver_invocations);
   std::fprintf(
       f,
-      "  \"net_warm\": {\"transport\": \"tcp\", \"wall_seconds\": %.4f, "
-      "\"jobs_per_sec\": %.2f, \"cache_hits\": %zu},\n",
-      net_warm.wall_seconds, net_warm.jobs_per_sec, net_cache_hits);
+      "  \"net_warm\": {\"transport\": \"tcp\", \"window_seconds\": %.2f, "
+      "\"windows\": %d, \"jobs_per_sec\": %.2f, \"worst_jobs_per_sec\": "
+      "%.2f, \"spread_pct\": %.2f, \"jobs\": %zu, \"cache_hits\": %zu},\n",
+      kWarmWindowSeconds, kWarmWindows, net_warm.best_jobs_per_sec,
+      net_warm.worst_jobs_per_sec, net_warm.spread_pct(), net_warm.jobs,
+      net_cache_hits);
   std::fprintf(
       f,
       "  \"fairness\": {\"workers\": 1, \"greedy_jobs\": %zu, "

@@ -2,24 +2,29 @@
 
 // Endian-explicit binary primitives for the persistence layer (src/io/).
 //
-// Every multi-byte value is encoded little-endian byte by byte, so files
-// written on any supported target decode identically everywhere (the
-// in-memory representation never leaks into the format).  Doubles travel as
-// their IEEE-754 bit pattern via std::bit_cast, making round trips
-// bit-identical — including NaN payloads and -0.0.
+// Every multi-byte value is encoded little-endian, so files written on any
+// supported target decode identically everywhere (the in-memory
+// representation never leaks into the format).  On little-endian targets
+// the native bytes already are the format and travel with one memcpy; other
+// targets take the portable byte loop.  Doubles travel as their IEEE-754
+// bit pattern via std::bit_cast, making round trips bit-identical —
+// including NaN payloads and -0.0.
 //
 // ByteWriter appends into a growable buffer; ByteReader consumes a borrowed
 // span with hard bounds checks.  A reader overrun throws DecodeError, which
 // the record scanner (io/snapshot) catches and converts into a skipped
 // record — corrupt input is never fatal above this layer.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -36,20 +41,24 @@ class DecodeError : public std::runtime_error {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Appends after the bytes already in `bytes` (take() hands them back).
+  explicit ByteWriter(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)) {}
+
+  /// Room for `size` more bytes, so a caller that knows its encoded size
+  /// allocates once.  Growth stays geometric: repeated small reserves on a
+  /// long-lived buffer never degrade into one reallocation per call.
+  void reserve(std::size_t size) {
+    const std::size_t need = bytes_.size() + size;
+    if (need > bytes_.capacity()) {
+      bytes_.reserve(std::max(need, 2 * bytes_.capacity()));
+    }
+  }
+
   void u8(std::uint8_t value) { bytes_.push_back(value); }
-
-  void u32(std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-  }
-
-  void u64(std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-  }
-
+  void u32(std::uint32_t value) { put(value); }
+  void u64(std::uint64_t value) { put(value); }
   void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
 
   void raw(std::span<const std::uint8_t> data) {
@@ -61,6 +70,19 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
+  template <typename T>
+  void put(T value) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes_.data() + at, &value, sizeof(T));
+    } else {
+      for (std::size_t k = 0; k < sizeof(T); ++k) {
+        bytes_[at + k] = static_cast<std::uint8_t>(value >> (8 * k));
+      }
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -76,24 +98,8 @@ class ByteReader {
     return bytes_[offset_++];
   }
 
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(bytes_[offset_++]) << shift;
-    }
-    return value;
-  }
-
-  std::uint64_t u64() {
-    require(8);
-    std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      value |= static_cast<std::uint64_t>(bytes_[offset_++]) << shift;
-    }
-    return value;
-  }
-
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
 
   std::span<const std::uint8_t> raw(std::size_t size) {
@@ -104,6 +110,21 @@ class ByteReader {
   }
 
  private:
+  template <typename T>
+  T get() {
+    require(sizeof(T));
+    T value = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
+    } else {
+      for (std::size_t k = 0; k < sizeof(T); ++k) {
+        value |= static_cast<T>(bytes_[offset_ + k]) << (8 * k);
+      }
+    }
+    offset_ += sizeof(T);
+    return value;
+  }
+
   void require(std::size_t size) const {
     if (remaining() < size) {
       throw DecodeError("truncated input: need " + std::to_string(size) +

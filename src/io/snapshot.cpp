@@ -44,6 +44,7 @@ HeaderStatus read_header(ByteReader& in, std::uint32_t* version) {
 
 void write_record(ByteWriter& out, std::uint32_t type,
                   std::span<const std::uint8_t> payload) {
+  out.reserve(kRecordHeaderBytes + payload.size());
   out.u32(static_cast<std::uint32_t>(payload.size()));
   out.u32(type);
   out.u64(checksum64(payload));
@@ -80,6 +81,11 @@ ScanStats scan_records(
 }
 
 void encode_batch(ByteWriter& out, const qubo::SolveBatch& batch) {
+  std::size_t size = 4;
+  for (const auto& result : batch.results) {
+    size += 8 + 4 + (result.assignment.size() + 7) / 8;
+  }
+  out.reserve(size);
   out.u32(static_cast<std::uint32_t>(batch.results.size()));
   for (const auto& result : batch.results) {
     out.f64(result.qubo_energy);
@@ -124,6 +130,7 @@ qubo::SolveBatch decode_batch(ByteReader& in) {
 }
 
 void encode_model(ByteWriter& out, const qubo::QuboModel& model) {
+  out.reserve(4 + 8 + 4 + model.num_nonzeros() * (4 + 4 + 8));
   out.u32(static_cast<std::uint32_t>(model.num_vars()));
   out.f64(model.offset());
   out.u32(static_cast<std::uint32_t>(model.num_nonzeros()));

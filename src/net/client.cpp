@@ -64,8 +64,9 @@ bool Client::connect(std::string* error) {
 bool Client::send_frame(std::uint32_t type,
                         std::span<const std::uint8_t> payload) {
   if (!sock_.valid()) return false;
-  const auto bytes = frame(type, payload);
-  if (!sock_.send_all(bytes.data(), bytes.size())) {
+  out_.clear();
+  append_frame(out_, type, payload);
+  if (!sock_.send_all(out_.data(), out_.size())) {
     sock_.close();
     return false;
   }

@@ -292,6 +292,9 @@ class Client {
   ClientConfig config_;
   Socket sock_;
   FrameBuffer in_;
+  /// Reused send buffer: send_frame frames into it, so a request costs no
+  /// allocation once its capacity has grown to the largest frame sent.
+  std::vector<std::uint8_t> out_;
   HelloAckFrame ack_;
   std::uint64_t next_tag_ = 1;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "io/binary.hpp"
 
@@ -520,9 +521,16 @@ std::string decode_text(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> frame(std::uint32_t type,
                                 std::span<const std::uint8_t> payload) {
-  io::ByteWriter out;
-  io::write_record(out, type, payload);
-  return out.take();
+  std::vector<std::uint8_t> out;
+  append_frame(out, type, payload);
+  return out;
+}
+
+void append_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
+                  std::span<const std::uint8_t> payload) {
+  io::ByteWriter writer(std::move(out));
+  io::write_record(writer, type, payload);
+  out = writer.take();
 }
 
 void FrameBuffer::append(const std::uint8_t* data, std::size_t size) {

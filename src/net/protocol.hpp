@@ -307,6 +307,12 @@ std::string decode_text(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> frame(std::uint32_t type,
                                 std::span<const std::uint8_t> payload);
 
+/// Appends the framed record to `out` — byte for byte what frame() returns,
+/// without the temporary — so a send buffer collects many frames and goes
+/// out in one write.
+void append_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
+                  std::span<const std::uint8_t> payload);
+
 // --- incremental frame splitter ---------------------------------------------
 
 /// One parsed frame: the record type plus its verified payload.

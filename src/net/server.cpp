@@ -170,31 +170,36 @@ struct Server::Impl {
   /// inside the service lock, so this must only enqueue and signal (see
   /// job.hpp contract).  Tune hooks are persistent (one enqueue per trial
   /// plus the terminal one); the reactor dedups via PendingTune::reported.
+  ///
+  /// Only the empty → non-empty transition wakes the reactor: it drains the
+  /// pipe before it swaps the queue out, so every later push either lands
+  /// before that swap or finds the queue empty again and wakes it anew.  A
+  /// burst of cache hits costs one pipe write, not one per job.
   void on_complete(std::uint64_t conn_id, std::uint64_t tag,
                    bool tune = false) EXCLUDES(m) {
+    bool was_empty = false;
     {
       MutexLock lock(m);
+      was_empty = completions.empty();
       completions.push_back({conn_id, tag, tune});
     }
-    wake();
+    if (was_empty) wake();
   }
 
   // --- frame output -----------------------------------------------------
 
+  /// Frames the payload straight into the connection's send buffer.  No
+  /// send here: the reactor flushes each connection once per pass, so a
+  /// burst of frames leaves in one write instead of one per frame.
   void queue_frame(Connection* conn, std::uint32_t type,
                    std::span<const std::uint8_t> payload) EXCLUDES(m) {
     ctr_frames_sent->inc();
-    std::vector<std::uint8_t> bytes;
     {
       obs::ScopedSpan span("frame_encode", "net");
-      bytes = frame(type, payload);
+      append_frame(conn->out, type, payload);
     }
-    conn->out.insert(conn->out.end(), bytes.begin(), bytes.end());
-    {
-      MutexLock lock(m);
-      ++stats.frames_sent;
-    }
-    flush_out(conn);
+    MutexLock lock(m);
+    ++stats.frames_sent;
   }
 
   /// Admission/lifecycle refusals (draining, quota): the peer used the
@@ -329,7 +334,7 @@ struct Server::Impl {
       conn->jobs[submit.tag].last_reported = status.status;
     }
     // The hook fires immediately (on this thread) for cache hits — the
-    // completion lands in the queue and is flushed this same reactor pass.
+    // completion lands in the queue and its Result goes out next pass.
     const auto sink_ref = sink;
     const auto conn_id = conn->id;
     const auto tag = submit.tag;
@@ -744,6 +749,7 @@ struct Server::Impl {
         continue;
       }
       set_nonblocking(fd);
+      set_tcp_nodelay(fd);
       const auto id = next_conn_id++;
       conns.emplace(id, std::make_unique<Connection>(
                             id, Socket(fd)));
@@ -941,7 +947,10 @@ struct Server::Impl {
       for (const auto id : to_close) close_connection(id);
 
       if (any_stream_jobs) {
-        for (const auto& [id, conn] : conns) stream_status_tick(conn.get());
+        for (const auto& [id, conn] : conns) {
+          stream_status_tick(conn.get());
+          if (!out_empty(conn.get())) flush_out(conn.get());
+        }
       }
 
       if (drain_now) {

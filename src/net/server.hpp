@@ -4,9 +4,13 @@
 //
 // One reactor thread owns every socket: it poll()s the listeners, all
 // connection fds, and a self-pipe; job completions are delivered by
-// JobHandle::notify hooks that enqueue (connection, tag) and write one byte
-// to the pipe, so the reactor wakes without busy-polling and all frame
-// writing stays on one thread (no per-connection locking, no torn frames).
+// JobHandle::notify hooks that enqueue (connection, tag) and, when the
+// queue was empty, write one byte to the pipe, so the reactor wakes without
+// busy-polling and all frame writing stays on one thread (no per-connection
+// locking, no torn frames).  Frames collect in a per-connection buffer that
+// is flushed once per reactor pass, so a burst of results costs about one
+// send(); TCP streams run with TCP_NODELAY so that send is never held back
+// by Nagle waiting on the peer's delayed ACK.
 //
 // Connection-scoped job ownership: every job a connection submits is
 // tracked in that connection's table, and a disconnect — orderly or not —

@@ -227,11 +227,19 @@ Socket connect_to(const Endpoint& endpoint, int timeout_ms,
     return {};
   }
   ::fcntl(sock.fd(), F_SETFL, flags);
-  if (endpoint.kind == Endpoint::Kind::tcp) {
-    const int one = 1;
-    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  set_tcp_nodelay(sock.fd());
   return sock;
+}
+
+void set_tcp_nodelay(int fd) {
+  sockaddr_storage storage;
+  socklen_t len = sizeof(storage);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&storage), &len) != 0 ||
+      (storage.ss_family != AF_INET && storage.ss_family != AF_INET6)) {
+    return;
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 std::optional<Endpoint> local_endpoint(int fd) {

@@ -78,6 +78,13 @@ Socket listen_on(const Endpoint& endpoint, std::string* error);
 Socket connect_to(const Endpoint& endpoint, int timeout_ms,
                   std::string* error);
 
+/// Disables Nagle's algorithm on a TCP stream, so a small frame leaves at
+/// once instead of waiting for the peer to ACK the previous one (which a
+/// delayed-ACK peer holds back ~40 ms).  Every TCP stream, connected or
+/// accepted, is configured here.  Unix-domain sockets have no Nagle and are
+/// skipped; a failed option is not an error (the stream works, only slower).
+void set_tcp_nodelay(int fd);
+
 /// The locally bound address of a listening/connected socket (resolves an
 /// ephemeral TCP port).  Unix sockets return their path.
 std::optional<Endpoint> local_endpoint(int fd);

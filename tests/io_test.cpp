@@ -1,7 +1,8 @@
 // Tests for the src/io/ persistence subsystem: endian-explicit primitives,
 // the snapshot record framing, the SolveBatch codec (bit-identical round
 // trips), and the CacheStore's journal/compaction/corruption-recovery
-// semantics that back the cross-run warm start.
+// semantics that back the cross-run warm start — pinned against committed
+// golden bytes, so no codec change can silently alter existing cache files.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "golden_fixtures.hpp"
 #include "io/binary.hpp"
 #include "io/cache_store.hpp"
 #include "io/snapshot.hpp"
@@ -94,6 +96,46 @@ TEST_F(IoTest, PrimitivesAreLittleEndianAndBoundsChecked) {
             std::bit_cast<std::uint64_t>(-0.0));
   EXPECT_EQ(in.remaining(), 0u);
   EXPECT_THROW(in.u8(), DecodeError);
+}
+
+TEST_F(IoTest, FastPathMatchesTheByteLoopAndKeepsBoundsChecks) {
+  // The little-endian memcpy path must produce exactly the bytes of the
+  // portable shift loop, and a short read must still throw before any byte
+  // is consumed.
+  const std::uint64_t values[] = {0, 1, 0x80, 0xFFFFFFFFull,
+                                  0x0123456789ABCDEFull, ~0ull};
+  for (const auto value : values) {
+    ByteWriter out;
+    out.u32(static_cast<std::uint32_t>(value));
+    out.u64(value);
+    ASSERT_EQ(out.size(), 12u);
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(out.bytes()[k], static_cast<std::uint8_t>(value >> (8 * k)));
+    }
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(out.bytes()[4 + k],
+                static_cast<std::uint8_t>(value >> (8 * k)));
+    }
+    ByteReader in(out.bytes());
+    EXPECT_EQ(in.u32(), static_cast<std::uint32_t>(value));
+    EXPECT_EQ(in.u64(), value);
+  }
+  const std::vector<std::uint8_t> seven(7, 0xAB);
+  ByteReader in(seven);
+  EXPECT_THROW(in.u64(), DecodeError);
+  EXPECT_EQ(in.offset(), 0u);
+  EXPECT_EQ(in.u32(), 0xABABABABu);
+  EXPECT_THROW(in.u32(), DecodeError);
+  EXPECT_EQ(in.remaining(), 3u);
+
+  // reserve() never changes the bytes, only the allocation count.
+  ByteWriter reserved;
+  reserved.u8(7);
+  reserved.reserve(1000);
+  reserved.u32(9);
+  ASSERT_EQ(reserved.size(), 5u);
+  EXPECT_EQ(reserved.bytes()[0], 7);
+  EXPECT_EQ(reserved.bytes()[1], 9);
 }
 
 TEST_F(IoTest, BatchRoundTripIsBitIdentical) {
@@ -210,6 +252,51 @@ TEST_F(IoTest, StoreAppendLoadRoundTrip) {
   expect_bit_identical(*entries[1].batch, *e2.batch);
   EXPECT_EQ(reader.load_skipped(), 0u);
   EXPECT_FALSE(reader.version_rejected());
+}
+
+// tests/data/golden_cache.qsnap.journal was written by CacheStore::append
+// with the byte-at-a-time codecs, from the entries in golden_fixtures.hpp.
+
+TEST_F(IoTest, JournalBytesMatchTheGoldenJournal) {
+  const auto golden_journal = read_file(std::string(QROSS_TEST_DATA_DIR) +
+                                        "/golden_cache.qsnap.journal");
+  ASSERT_TRUE(golden_journal.has_value());
+  CacheStore store({.path = path("cache.qsnap")});
+  for (const auto& entry : testing::golden::cache_entries()) {
+    ASSERT_TRUE(store.append(entry));
+  }
+  const auto written = read_file(store.journal_path());
+  ASSERT_TRUE(written.has_value());
+  EXPECT_EQ(*written, *golden_journal);
+
+  // The first record on its own, as the golden table spells it out.
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes.txt");
+  ASSERT_TRUE(golden.contains("cache_record"));
+  const std::size_t record_bytes = golden.at("cache_record").size() / 2;
+  ASSERT_GE(written->size(), 16 + record_bytes);
+  EXPECT_EQ(testing::golden::to_hex(std::span<const std::uint8_t>(
+                written->data() + 16, record_bytes)),
+            golden.at("cache_record"));
+}
+
+TEST_F(IoTest, GoldenJournalLoadsBitIdentically) {
+  std::filesystem::copy_file(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_cache.qsnap.journal",
+      path("cache.qsnap.journal"));
+  CacheStore store({.path = path("cache.qsnap")});
+  const auto expected = testing::golden::cache_entries();
+  const auto loaded = load_all(store);
+  EXPECT_EQ(store.load_skipped(), 0u);
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(loaded[k].key, expected[k].key);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[k].run_ms),
+              std::bit_cast<std::uint64_t>(expected[k].run_ms));
+    expect_bit_identical(*loaded[k].batch, *expected[k].batch);
+  }
+  // Compaction keeps the newest record per key: 3 distinct keys.
+  EXPECT_EQ(store.compact(), 3u);
 }
 
 TEST_F(IoTest, CompactMergesNewestWinsAndRemovesJournal) {

@@ -4,21 +4,31 @@
 // Unix-domain sockets), the blocking Client with reconnect, and the
 // protocol-robustness contract — truncated frames, flipped checksum bytes,
 // future protocol versions, and oversized frames all answered with a clean
-// Error frame (the socket counterpart of io_test's corruption suite).
+// Error frame (the socket counterpart of io_test's corruption suite) — and
+// the transport contract: golden frame bytes, TCP_NODELAY on every TCP
+// stream, and results delivered intact to a reader that falls behind.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <linux/sockios.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "counting_solver.hpp"
+#include "golden_fixtures.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -306,6 +316,59 @@ TEST(NetProtocolTest, FrameBufferLatchesOnCorruption) {
                          encode_error({.message = std::string(100, 'x')}));
   small.append(big.data(), big.size());
   EXPECT_EQ(small.next(&out), FrameBuffer::Status::oversized);
+}
+
+// --- golden bytes -----------------------------------------------------------
+//
+// tests/data/golden_bytes.txt holds frames written by the byte-at-a-time
+// codecs from the fixtures in golden_fixtures.hpp.  The wire format is a
+// contract with every deployed peer (PROTOCOL.md): any codec change must
+// reproduce these bytes exactly.
+
+TEST(NetProtocolTest, SubmitAndResultFramesMatchTheGoldenBytes) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes.txt");
+  ASSERT_TRUE(golden.contains("submit_job"));
+  ASSERT_TRUE(golden.contains("result_batch"));
+  const auto submit = frame(io::kRecordNetSubmitJob,
+                            encode_submit(testing::golden::submit()));
+  EXPECT_EQ(testing::golden::to_hex(submit), golden.at("submit_job"));
+  const auto result = frame(io::kRecordNetResult,
+                            encode_result(testing::golden::result()));
+  EXPECT_EQ(testing::golden::to_hex(result), golden.at("result_batch"));
+}
+
+TEST(NetProtocolTest, AppendFrameEqualsFrameByteForByte) {
+  const auto submit = encode_submit(testing::golden::submit());
+  const auto result = encode_result(testing::golden::result());
+  std::vector<std::uint8_t> expected;
+  std::vector<std::uint8_t> out;
+  for (const auto& [type, payload] :
+       {std::pair{std::uint32_t{io::kRecordNetSubmitJob}, submit},
+        std::pair{std::uint32_t{io::kRecordNetResult}, result},
+        std::pair{std::uint32_t{io::kRecordNetGetMetrics},
+                  std::vector<std::uint8_t>{}}}) {
+    const auto framed = frame(type, payload);
+    std::vector<std::uint8_t> alone;
+    append_frame(alone, type, payload);
+    EXPECT_EQ(alone, framed);
+    // Appending to a buffer that already holds frames is concatenation.
+    append_frame(out, type, payload);
+    expected.insert(expected.end(), framed.begin(), framed.end());
+    EXPECT_EQ(out, expected);
+  }
+  // Several frames in one read reassemble by length, in order.
+  FrameBuffer buffer;
+  buffer.append(out.data(), out.size());
+  Frame f;
+  ASSERT_EQ(buffer.next(&f), FrameBuffer::Status::frame);
+  EXPECT_EQ(f.type, io::kRecordNetSubmitJob);
+  ASSERT_EQ(buffer.next(&f), FrameBuffer::Status::frame);
+  EXPECT_EQ(f.type, io::kRecordNetResult);
+  EXPECT_EQ(f.payload, result);
+  ASSERT_EQ(buffer.next(&f), FrameBuffer::Status::frame);
+  EXPECT_EQ(f.type, io::kRecordNetGetMetrics);
+  EXPECT_EQ(buffer.next(&f), FrameBuffer::Status::need_more);
 }
 
 // --- server + client --------------------------------------------------------
@@ -1065,6 +1128,239 @@ TEST_F(NetServerTest, PrometheusMetricsRoundTripOverTheWire) {
   EXPECT_NE(text->find("# TYPE qross_run_ms histogram"), std::string::npos);
   EXPECT_NE(text->find("qross_run_ms_bucket{le=\"+Inf\"}"), std::string::npos);
   EXPECT_NE(text->find("qross_net_frames_received_total"), std::string::npos);
+}
+
+// --- transport: no Nagle stall, deferred flush -----------------------------
+
+/// The server's end of a loopback TCP connection: the fd in this process
+/// whose local address is `client_fd`'s peer and whose peer is `client_fd`'s
+/// local address (client and server share the process in these tests).
+int accepted_fd_of(int client_fd) {
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  socklen_t len = sizeof(client_local);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&client_local),
+                    &len) != 0) {
+    return -1;
+  }
+  len = sizeof(client_peer);
+  if (::getpeername(client_fd, reinterpret_cast<sockaddr*>(&client_peer),
+                    &len) != 0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 4096; ++fd) {
+    if (fd == client_fd) continue;
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET) {
+      continue;
+    }
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+      continue;
+    }
+    if (local.sin_port == client_peer.sin_port &&
+        peer.sin_port == client_local.sin_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+int tcp_nodelay_of(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+TEST_F(NetServerTest, AcceptedTcpStreamsRunWithNoDelay) {
+  const auto endpoint = start_tcp();
+  RawConnection raw(endpoint);
+  ASSERT_TRUE(raw.handshake());  // the HelloAck proves the accept happened
+  EXPECT_EQ(tcp_nodelay_of(raw.socket().fd()), 1);  // connect_to's side
+  const int accepted = accepted_fd_of(raw.socket().fd());
+  ASSERT_GE(accepted, 0) << "server end of the connection not found";
+  EXPECT_EQ(tcp_nodelay_of(accepted), 1);
+}
+
+TEST_F(NetServerTest, UnixDomainAcceptSkipsTheTcpOption) {
+  const auto endpoint = start_unix();
+  RawConnection raw(endpoint);
+  ASSERT_TRUE(raw.handshake());
+  // The helper leaves a Unix stream alone (it has no Nagle to disable),
+  // and the stream keeps working.
+  set_tcp_nodelay(raw.socket().fd());
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetGetMetrics, {}));
+  const auto reply = raw.read_frame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, io::kRecordNetMetrics);
+}
+
+TEST_F(NetServerTest, CacheWarmBurstsDoNotWaitForDelayedAcks) {
+  // Each burst's results leave the server as many small frames.  With
+  // Nagle on the server's socket, all but the first wait for the client's
+  // ACK, which Linux delays by at least 40 ms; a burst of cache hits takes
+  // a few milliseconds without that stall.
+  const auto endpoint = start_tcp();
+  auto client = make_client(endpoint);
+  std::string error;
+  ASSERT_TRUE(client.connect(&error)) << error;
+  std::vector<RemoteJob> jobs;
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    RemoteJob job;
+    job.solver = "count";
+    job.model = test_model(100 + k, 8);
+    job.num_replicas = 2;
+    job.num_sweeps = 5;
+    jobs.push_back(std::move(job));
+  }
+  for (const auto& result : client.run(jobs)) {  // fills the cache
+    ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
+  }
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < 20; ++burst) {
+    const auto begin = std::chrono::steady_clock::now();
+    for (const auto& result : client.run(jobs)) {
+      ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
+      ASSERT_TRUE(result.cache_hit);
+    }
+    burst_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count());
+  }
+  std::sort(burst_ms.begin(), burst_ms.end());
+  EXPECT_LT(burst_ms[burst_ms.size() / 2], 30.0)
+      << "median 16-job cache-warm burst; the delayed-ACK floor is 40 ms";
+  EXPECT_EQ(invocations_.load(), 16);
+}
+
+TEST_F(NetServerTest, SlowReaderGetsEveryResultIntactAndBlocksNoOne) {
+  // A peer that submits a flood of cache-warm jobs but reads nothing backs
+  // its results up past both socket buffers; the reactor must park the
+  // rest, keep serving other connections, and deliver everything once the
+  // peer reads.
+  const auto endpoint = start_tcp();
+  RemoteJob job;
+  job.solver = "count";
+  job.model = test_model(77, 32);
+  job.num_replicas = 4096;  // ~64 KiB per Result frame
+  job.num_sweeps = 1;
+  std::shared_ptr<const qubo::SolveBatch> reference;
+  {
+    auto warm = make_client(endpoint);
+    std::string error;
+    ASSERT_TRUE(warm.connect(&error)) << error;
+    const auto result = warm.wait(*warm.submit(job));
+    ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
+    reference = result.batch;
+  }
+  ASSERT_NE(reference, nullptr);
+
+  // A small receive buffer, set before connect so the advertised window
+  // is small from the first segment.
+  Socket slow(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(slow.valid());
+  const int rcvbuf = 4096;
+  ::setsockopt(slow.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(endpoint.port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(slow.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  FrameBuffer in;
+  Frame f;
+  auto read_frame = [&]() -> bool {
+    std::uint8_t buf[65536];
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const auto status = in.next(&f);
+      if (status == FrameBuffer::Status::frame) return true;
+      if (status != FrameBuffer::Status::need_more) return false;
+      const long n = slow.recv_some(buf, sizeof(buf), 100);
+      if (n == -2) continue;
+      if (n <= 0) return false;
+      in.append(buf, static_cast<std::size_t>(n));
+    }
+    return false;
+  };
+  const auto hello = frame(io::kRecordNetHello, encode_hello({}));
+  ASSERT_TRUE(slow.send_all(hello.data(), hello.size()));
+  ASSERT_TRUE(read_frame());
+  ASSERT_EQ(f.type, io::kRecordNetHelloAck);
+
+  constexpr std::uint64_t kJobs = 160;  // ~10 MiB of Result frames
+  std::vector<std::uint8_t> submits;
+  for (std::uint64_t tag = 1; tag <= kJobs; ++tag) {
+    SubmitJobFrame submit;
+    submit.tag = tag;
+    submit.solver = job.solver;
+    submit.num_replicas = job.num_replicas;
+    submit.num_sweeps = job.num_sweeps;
+    submit.seed = job.seed;
+    submit.model = job.model;
+    append_frame(submits, io::kRecordNetSubmitJob, encode_submit(submit));
+  }
+  ASSERT_TRUE(slow.send_all(submits.data(), submits.size()));
+  ASSERT_TRUE(eventually(
+      [&] { return server_->stats().results_sent >= kJobs + 1; }, 20000ms));
+
+  // Backed up: what the kernel holds (the server's send queue plus our
+  // receive queue) is less than what was queued, so the rest sits in the
+  // server's own buffer waiting for POLLOUT.
+  const int accepted = accepted_fd_of(slow.fd());
+  ASSERT_GE(accepted, 0);
+  int unsent_in_kernel = 0;
+  int unread = 0;
+  ASSERT_EQ(::ioctl(accepted, SIOCOUTQ, &unsent_in_kernel), 0);
+  ASSERT_EQ(::ioctl(slow.fd(), FIONREAD, &unread), 0);
+  ResultFrame sample;
+  sample.batch = reference;
+  const std::size_t result_bytes =
+      kJobs * frame(io::kRecordNetResult, encode_result(sample)).size();
+  EXPECT_LT(static_cast<std::size_t>(unsent_in_kernel + unread),
+            result_bytes / 2);
+
+  // Meanwhile another connection is served promptly.
+  {
+    auto other = make_client(endpoint, /*request_timeout_ms=*/5000);
+    std::string error;
+    ASSERT_TRUE(other.connect(&error)) << error;
+    const auto result = other.wait(*other.submit(quick_job(78)));
+    EXPECT_EQ(result.status, service::JobStatus::done) << result.error;
+  }
+
+  // Now read: every Result arrives checksum-valid (FrameBuffer verifies),
+  // exactly once per tag, with the cached batch bit for bit.
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t k = 0; k < kJobs; ++k) {
+    ASSERT_TRUE(read_frame()) << "after " << k << " results";
+    ASSERT_EQ(f.type, io::kRecordNetResult);
+    const auto result = decode_result(f.payload);
+    EXPECT_TRUE(seen.insert(result.tag).second) << "tag " << result.tag;
+    EXPECT_EQ(result.status, service::JobStatus::done);
+    EXPECT_TRUE(result.cache_hit);
+    ASSERT_NE(result.batch, nullptr);
+    ASSERT_EQ(result.batch->size(), reference->size());
+    for (std::size_t r = 0; r < reference->size(); ++r) {
+      ASSERT_EQ(result.batch->results[r].assignment,
+                reference->results[r].assignment);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    result.batch->results[r].qubo_energy),
+                std::bit_cast<std::uint64_t>(
+                    reference->results[r].qubo_energy));
+    }
+  }
+  EXPECT_EQ(seen.size(), kJobs);
+  EXPECT_EQ(*seen.begin(), 1u);
+  EXPECT_EQ(*seen.rbegin(), kJobs);
+  EXPECT_EQ(invocations_.load(), 2);  // the warm-up and quick_job(78)
 }
 
 }  // namespace
