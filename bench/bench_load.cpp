@@ -29,18 +29,16 @@
 // summary count — silently ungated coverage is itself a CI smell.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
+#include "harness/json_scrape.hpp"
 #include "load/replayer.hpp"
 #include "load/report.hpp"
 #include "load/workload.hpp"
@@ -250,55 +248,19 @@ void write_load_json(const std::string& path, double capacity,
   std::printf("wrote %s\n", path.c_str());
 }
 
-// --- regression gate (bench_service_json's scraper, gating style) -----------
-
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.good()) return {};
-  std::ostringstream out;
-  out << file.rdbuf();
-  return out.str();
-}
-
-std::vector<std::string> extract_values(const std::string& text,
-                                        const std::string& key) {
-  std::vector<std::string> values;
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    pos += needle.size();
-    while (pos < text.size() && text[pos] == ' ') ++pos;
-    if (pos < text.size() && text[pos] == '"') {
-      const std::size_t end = text.find('"', pos + 1);
-      if (end == std::string::npos) break;
-      values.push_back(text.substr(pos + 1, end - pos - 1));
-      pos = end + 1;
-    } else {
-      std::size_t end = pos;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.' || text[end] == '-' || text[end] == 'e' ||
-              text[end] == 'E' || text[end] == '+')) {
-        ++end;
-      }
-      values.push_back(text.substr(pos, end - pos));
-      pos = end;
-    }
-  }
-  return values;
-}
+// --- regression gate (the shared harness scraper, gating style) ------------
 
 int check_against_baseline(const std::string& baseline_dir,
                            const std::vector<CurveRow>& fresh) try {
   const std::string path = baseline_dir + "/BENCH_load.json";
-  const std::string text = slurp(path);
+  const std::string text = bench::slurp(path);
   if (text.empty()) {
     std::fprintf(stderr, "load gate: cannot read baseline %s\n", path.c_str());
     return 1;
   }
-  const auto arrivals = extract_values(text, "arrivals");
-  const auto fractions = extract_values(text, "rate_fraction");
-  const auto ok_ratios = extract_values(text, "ok_ratio");
+  const auto arrivals = bench::extract_values(text, "arrivals");
+  const auto fractions = bench::extract_values(text, "rate_fraction");
+  const auto ok_ratios = bench::extract_values(text, "ok_ratio");
   if (arrivals.size() != fractions.size() ||
       fractions.size() != ok_ratios.size()) {
     std::fprintf(stderr, "load gate: malformed baseline %s\n", path.c_str());

@@ -31,15 +31,12 @@
 // code).
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,6 +45,7 @@
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 #include "harness/dense_baseline.hpp"
+#include "harness/json_scrape.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
@@ -353,61 +351,22 @@ FairnessPass run_fairness_pass(bool fair_share,
 /// Sparse speedup >40% below baseline fails; less is shared-runner noise.
 constexpr double kSweepRegressionTolerance = 0.40;
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.good()) return {};
-  std::ostringstream out;
-  out << file.rdbuf();
-  return out.str();
-}
-
-/// Every value following `"key": ` in document order — numbers or quoted
-/// strings returned as text.  A 30-line scraper is all the JSON our two
-/// fixed-schema bench files need; no parser dependency.
-std::vector<std::string> extract_values(const std::string& text,
-                                        const std::string& key) {
-  std::vector<std::string> values;
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    pos += needle.size();
-    while (pos < text.size() && text[pos] == ' ') ++pos;
-    if (pos < text.size() && text[pos] == '"') {
-      const std::size_t end = text.find('"', pos + 1);
-      if (end == std::string::npos) break;
-      values.push_back(text.substr(pos + 1, end - pos - 1));
-      pos = end + 1;
-    } else {
-      std::size_t end = pos;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.' || text[end] == '-' || text[end] == 'e' ||
-              text[end] == 'E' || text[end] == '+')) {
-        ++end;
-      }
-      values.push_back(text.substr(pos, end - pos));
-      pos = end;
-    }
-  }
-  return values;
-}
-
 /// Compares the freshly measured sweep rows against the committed baseline.
 /// Returns the number of genuine regressions (0 = gate passes).
 int check_against_baseline(const std::string& baseline_dir,
                            const std::vector<SweepRow>& fresh,
                            double fresh_cold_jobs_per_sec) try {
   const std::string sweep_path = baseline_dir + "/BENCH_sweep.json";
-  const std::string text = slurp(sweep_path);
+  const std::string text = bench::slurp(sweep_path);
   if (text.empty()) {
     std::fprintf(stderr, "perf gate: cannot read baseline %s\n",
                  sweep_path.c_str());
     return 1;
   }
-  const auto workloads = extract_values(text, "workload");
-  const auto ns = extract_values(text, "n");
-  const auto speedups = extract_values(text, "sparse_speedup");
-  const auto sparse = extract_values(text, "sparse_flips_per_sec");
+  const auto workloads = bench::extract_values(text, "workload");
+  const auto ns = bench::extract_values(text, "n");
+  const auto speedups = bench::extract_values(text, "sparse_speedup");
+  const auto sparse = bench::extract_values(text, "sparse_flips_per_sec");
   if (workloads.size() != ns.size() || ns.size() != speedups.size() ||
       speedups.size() != sparse.size()) {
     std::fprintf(stderr, "perf gate: malformed baseline %s\n",
@@ -415,7 +374,7 @@ int check_against_baseline(const std::string& baseline_dir,
     return 1;
   }
   // Absent in a pre-v2 baseline; then the simd arm simply isn't gated.
-  auto simd_speedups = extract_values(text, "simd_speedup");
+  auto simd_speedups = bench::extract_values(text, "simd_speedup");
   if (simd_speedups.size() != workloads.size()) simd_speedups.clear();
   int regressions = 0;
   // Every gate this run did NOT apply is announced — a baseline that
@@ -491,8 +450,9 @@ int check_against_baseline(const std::string& baseline_dir,
     }
   }
   // Service throughput: informational only (see file comment).
-  const std::string service_text = slurp(baseline_dir + "/BENCH_service.json");
-  const auto jobs_per_sec = extract_values(service_text, "jobs_per_sec");
+  const std::string service_text =
+      bench::slurp(baseline_dir + "/BENCH_service.json");
+  const auto jobs_per_sec = bench::extract_values(service_text, "jobs_per_sec");
   if (!jobs_per_sec.empty()) {
     std::fprintf(stderr,
                  "perf gate: service cold %.1f jobs/s vs baseline %.1f "

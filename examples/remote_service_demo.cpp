@@ -8,6 +8,8 @@
 // daemon and `qross_cli remote batch` the production client.
 
 #include <cstdio>
+#include <optional>
+#include <utility>
 
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -51,14 +53,30 @@ int main() {
   job.num_sweeps = 40;
   job.stream_status = true;
 
-  const auto tag = client.submit(job);
-  if (!tag.has_value()) {
-    std::fprintf(stderr, "submit failed\n");
-    return 1;
-  }
-  auto result = client.wait(*tag);
+  // Submits one job (cancelling it straight away when asked) and waits for
+  // its Result frame; nullopt after printing a transport failure.
+  const auto solve = [&client](const net::RemoteJob& remote, bool cancel)
+      -> std::optional<std::pair<std::uint64_t, net::ResultFrame>> {
+    const auto tag = client.submit_job(remote);
+    if (!tag.ok()) {
+      std::fprintf(stderr, "submit failed: %s\n", tag.error().message.c_str());
+      return std::nullopt;
+    }
+    if (cancel) client.cancel(tag.value());
+    auto result = client.wait_result(tag.value());
+    if (!result.ok()) {
+      std::fprintf(stderr, "wait failed: %s\n",
+                   result.error().message.c_str());
+      return std::nullopt;
+    }
+    return std::pair{tag.value(), std::move(result).value()};
+  };
+
+  auto first = solve(job, false);
+  if (!first) return 1;
+  auto [tag, result] = std::move(*first);
   std::printf("job %llu: %s via %s (%zu solutions, best energy %.3f)\n",
-              static_cast<unsigned long long>(*tag),
+              static_cast<unsigned long long>(tag),
               service::to_string(result.status),
               result.cache_hit ? "cache" : "solver",
               result.batch ? result.batch->size() : 0,
@@ -66,37 +84,36 @@ int main() {
                   ? result.batch->results[result.batch->best_index()]
                         .qubo_energy
                   : 0.0);
-  for (const auto status : client.status_updates(*tag)) {
+  for (const auto status : client.status_updates(tag)) {
     std::printf("  streamed status: %s\n", service::to_string(status));
   }
 
   // The same job again: served from the daemon-side result cache,
   // bit-identical, no second solver run.
-  const auto again = client.submit(job);
-  result = client.wait(*again);
+  const auto again = solve(job, false);
+  if (!again) return 1;
   std::printf("job %llu: %s via %s\n",
-              static_cast<unsigned long long>(*again),
-              service::to_string(result.status),
-              result.cache_hit ? "cache" : "solver");
+              static_cast<unsigned long long>(again->first),
+              service::to_string(again->second.status),
+              again->second.cache_hit ? "cache" : "solver");
 
   // Cancel a long job right after submitting it.
   net::RemoteJob slow = job;
   slow.num_sweeps = 200000;
   slow.seed = 999;  // different fingerprint: no cache hit
-  const auto slow_tag = client.submit(slow);
-  client.cancel(*slow_tag);
-  result = client.wait(*slow_tag);
+  const auto cancelled = solve(slow, true);
+  if (!cancelled) return 1;
   std::printf("job %llu: %s after cancel\n\n",
-              static_cast<unsigned long long>(*slow_tag),
-              service::to_string(result.status));
+              static_cast<unsigned long long>(cancelled->first),
+              service::to_string(cancelled->second.status));
 
-  if (const auto metrics = client.metrics()) {
+  if (const auto metrics = client.fetch_metrics()) {
+    const net::MetricsFrame& reply = metrics.value();
     std::printf("server metrics: %zu submitted, %zu cache hits, "
                 "%zu solver invocations, %llu connections\n",
-                metrics->service.submitted, metrics->service.cache_hits,
-                metrics->service.solver_invocations,
-                static_cast<unsigned long long>(
-                    metrics->connections_accepted));
+                reply.service.submitted, reply.service.cache_hits,
+                reply.service.solver_invocations,
+                static_cast<unsigned long long>(reply.connections_accepted));
   }
   server.stop();
   return 0;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "io/snapshot.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace qross::io {
@@ -215,13 +214,9 @@ bool CacheStore::repair_journal_tail_locked() {
 }
 
 std::size_t CacheStore::compact_locked() {
-  // Counted/spanned here rather than in compact(): the destructor's final
-  // compaction goes through this path too.  The obs singletons are leaked
-  // (never destroyed), so static-teardown-time compaction stays safe.
-  obs::registry()
-      .counter("qross_cache_compactions_total",
-               "CacheStore journal-into-snapshot compactions")
-      ->inc();
+  // The trace recorder is leaked (never destroyed), so static-teardown-time
+  // compaction stays safe.  Compactions are counted by the owning service's
+  // registry, where it calls compact().
   obs::ScopedSpan span("compact", "io");
   if (journal_.is_open()) journal_.close();
   FileScan snapshot = scan_file(config_.path);

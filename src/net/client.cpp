@@ -180,14 +180,6 @@ RemoteOutcome<std::uint64_t> Client::submit_job(const RemoteJob& job) {
   return tag;
 }
 
-std::optional<std::uint64_t> Client::submit(const RemoteJob& job,
-                                            std::string* error) {
-  auto outcome = submit_job(job);
-  if (outcome.ok()) return outcome.value();
-  if (error != nullptr) *error = outcome.error().message;
-  return std::nullopt;
-}
-
 RemoteOutcome<std::uint64_t> Client::submit_tune(const RemoteTune& tune) {
   const std::uint64_t tag = next_tag_++;
   tune_pending_[tag] = tune;
@@ -249,7 +241,7 @@ void Client::handle_incoming(const Frame& f) {
         if (error.tag != 0 && pending_.contains(error.tag)) {
           if (is_retryable_error(error.code)) {
             // Transient server state (draining / full): keep the request
-            // pending; wait() backs off and resubmits it.
+            // pending; wait_result() backs off and resubmits it.
             retry_wanted_.insert(error.tag);
           } else {
             // Permanent refusal.  Known edge: a reconnect's resubmits can
@@ -259,7 +251,7 @@ void Client::handle_incoming(const Frame& f) {
             // The taxonomy still wins — retrying quota errors in general
             // rewards exactly the flooding the quota exists to stop.
             // A permanent refusal (quota, bad request, unknown solver)
-            // completes the request as failed, so wait() observes it
+            // completes the request as failed, so wait_result() observes it
             // instead of timing out — and never resubmits it.
             ResultFrame result;
             result.tag = error.tag;
@@ -333,7 +325,7 @@ bool Client::pump(std::uint32_t stop_type, std::uint64_t stop_tag,
       handle_incoming(f);
       if (is_stop) return true;
       // A request-killing Error frame also satisfies a Result wait, and so
-      // does a retryable refusal (wait() owns the backoff + resubmit).
+      // does a retryable refusal (wait_result() owns the backoff + resubmit).
       if (stop_type == io::kRecordNetResult &&
           (results_.contains(stop_tag) || retry_wanted_.contains(stop_tag))) {
         return true;
@@ -452,18 +444,6 @@ RemoteOutcome<ResultFrame> Client::wait_result(std::uint64_t tag) {
       }
     }
   }
-}
-
-ResultFrame Client::wait(std::uint64_t tag) {
-  auto outcome = wait_result(tag);
-  if (outcome.ok()) return std::move(outcome).value();
-  // The legacy shape folds transport failures into a failed ResultFrame so
-  // callers have one error path.
-  ResultFrame result;
-  result.tag = tag;
-  result.status = service::JobStatus::failed;
-  result.error = outcome.error().message;
-  return result;
 }
 
 RemoteOutcome<TuneResultFrame> Client::tune_wait(std::uint64_t tag) {
@@ -654,48 +634,29 @@ RemoteOutcome<std::string> Client::fetch_prometheus() {
   return std::move(*last_prom_);
 }
 
-std::optional<MetricsFrame> Client::metrics(std::string* error) {
-  auto outcome = fetch_metrics();
-  if (!outcome.ok()) {
-    if (error != nullptr) *error = outcome.error().message;
-    return std::nullopt;
-  }
-  return std::move(outcome).value();
-}
-
-std::optional<std::string> Client::trace_dump(std::string* error) {
-  auto outcome = fetch_trace();
-  if (!outcome.ok()) {
-    if (error != nullptr) *error = outcome.error().message;
-    return std::nullopt;
-  }
-  return std::move(outcome).value();
-}
-
-std::optional<std::string> Client::prometheus_metrics(std::string* error) {
-  auto outcome = fetch_prometheus();
-  if (!outcome.ok()) {
-    if (error != nullptr) *error = outcome.error().message;
-    return std::nullopt;
-  }
-  return std::move(outcome).value();
-}
-
 std::vector<ResultFrame> Client::run(const std::vector<RemoteJob>& jobs) {
   std::vector<ResultFrame> results(jobs.size());
   std::vector<std::pair<std::size_t, std::uint64_t>> submitted;
   submitted.reserve(jobs.size());
   for (std::size_t k = 0; k < jobs.size(); ++k) {
-    std::string error;
-    const auto tag = submit(jobs[k], &error);
-    if (!tag.has_value()) {
+    const auto tag = submit_job(jobs[k]);
+    if (!tag.ok()) {
       results[k].status = service::JobStatus::failed;
-      results[k].error = "submit failed: " + error;
+      results[k].error = "submit failed: " + tag.error().message;
       continue;
     }
-    submitted.emplace_back(k, *tag);
+    submitted.emplace_back(k, tag.value());
   }
-  for (const auto& [index, tag] : submitted) results[index] = wait(tag);
+  for (const auto& [index, tag] : submitted) {
+    auto outcome = wait_result(tag);
+    if (outcome.ok()) {
+      results[index] = std::move(outcome).value();
+    } else {
+      results[index].tag = tag;
+      results[index].status = service::JobStatus::failed;
+      results[index].error = outcome.error().message;
+    }
+  }
   return results;
 }
 

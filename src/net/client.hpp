@@ -2,9 +2,10 @@
 
 // Blocking client for the QROSS network protocol.
 //
-// One connection multiplexes many in-flight jobs by tag: submit() assigns a
-// tag and sends the frame, wait(tag) blocks until that tag's Result frame
-// arrives (buffering results for other tags it reads along the way).
+// One connection multiplexes many in-flight jobs by tag: submit_job()
+// assigns a tag and sends the frame, wait_result(tag) blocks until that
+// tag's Result frame arrives (buffering results for other tags it reads
+// along the way).
 //
 // Resilience:
 //   * reconnect — a send/recv failure triggers up to reconnect_attempts
@@ -13,24 +14,25 @@
 //     the serving side: equal fingerprints coalesce or hit the result
 //     cache, so a retried job never pays a second solver run;
 //   * error triage — a RETRYABLE server refusal (kErrDraining,
-//     kErrServerFull: transient server state) keeps the job pending; wait()
-//     backs off and resubmits it up to reconnect_attempts times within the
-//     request timeout.  A PERMANENT refusal (kErrQuotaExceeded,
-//     kErrBadRequest, kErrUnknownSolver, ...) fails the job on the first
-//     Error frame — resubmitting an unacceptable request verbatim can never
-//     succeed and only hammers the server;
-//   * request timeout — wait() gives up after request_timeout_ms and
-//     reports the job as failed with a timeout error, leaving the
-//     connection usable for other tags.
+//     kErrServerFull: transient server state) keeps the job pending;
+//     wait_result() backs off and resubmits it up to reconnect_attempts
+//     times within the request timeout.  A PERMANENT refusal
+//     (kErrQuotaExceeded, kErrBadRequest, kErrUnknownSolver, ...) fails the
+//     job on the first Error frame — resubmitting an unacceptable request
+//     verbatim can never succeed and only hammers the server;
+//   * request timeout — wait_result() gives up after request_timeout_ms
+//     with a timeout RemoteError, leaving the connection usable for other
+//     tags.
 //
 // Not thread-safe: one Client per thread (the protocol itself supports any
 // number of concurrent Clients per server).
 //
-// API surface: the typed methods (submit_job, wait_result, submit_tune,
-// tune_wait, fetch_*) all report failure through one RemoteOutcome /
-// RemoteError shape, with retryability decided in exactly one place
-// (is_retryable_error via RemoteError::retryable).  The original
-// optional/bool signatures remain as thin wrappers over the typed core.
+// API surface: one call per task.  The typed methods (submit_job,
+// wait_result, submit_tune, tune_wait, fetch_*) all report failure through
+// one RemoteOutcome / RemoteError shape, with retryability decided in
+// exactly one place (is_retryable_error via RemoteError::retryable).  run()
+// is the one convenience on top: a whole batch, with transport failures
+// folded into failed ResultFrames.
 
 #include <cstdint>
 #include <map>
@@ -72,7 +74,7 @@ struct RemoteJob {
   bool bypass_cache = false;
   bool stream_status = false;
   /// Trace correlation id stamped on the server's spans for this job
-  /// (0 = none).  Fetch the stitched trace with trace_dump().
+  /// (0 = none).  Fetch the stitched trace with fetch_trace().
   std::uint64_t trace_id = 0;
 };
 
@@ -193,23 +195,16 @@ class Client {
   /// TuneResult (status = cancelled) still arrives via tune_wait().
   bool cancel_tune(std::uint64_t tag);
 
-  /// Round-trips GetMetrics / GetTrace / GetProm.
+  /// Round-trips a GetMetrics request.
   RemoteOutcome<MetricsFrame> fetch_metrics();
+  /// Round-trips a GetTrace request: the server's trace buffer as Chrome
+  /// trace-event JSON.  Empty trace (`"traceEvents":[]`) when the daemon
+  /// never enabled tracing; a refusal from a pre-obs server, which answers
+  /// kErrUnknownType.
   RemoteOutcome<std::string> fetch_trace();
+  /// Round-trips a GetProm request: the server's metrics registry in
+  /// Prometheus text exposition format.  Same failure contract as above.
   RemoteOutcome<std::string> fetch_prometheus();
-
-  // --- legacy wrappers (thin shims over the typed core) -----------------
-
-  /// Sends one job; returns its tag, or nullopt when the connection is
-  /// down and could not be re-established.
-  std::optional<std::uint64_t> submit(const RemoteJob& job,
-                                      std::string* error = nullptr);
-
-  /// Blocks until `tag` completes.  On request timeout or a dead
-  /// connection, returns a ResultFrame with status `failed` and the reason
-  /// in `error` — the protocol carries real failures the same way, so
-  /// callers have one error path.
-  ResultFrame wait(std::uint64_t tag);
 
   /// Requests cancellation of an in-flight tag.
   bool cancel(std::uint64_t tag);
@@ -217,20 +212,10 @@ class Client {
   /// Status updates streamed so far for `tag` (stream_status jobs only).
   std::vector<service::JobStatus> status_updates(std::uint64_t tag) const;
 
-  /// Round-trips a metrics request.
-  std::optional<MetricsFrame> metrics(std::string* error = nullptr);
-
-  /// Round-trips a GetTrace request: the server's trace buffer as Chrome
-  /// trace-event JSON.  Empty trace (`"traceEvents":[]`) when the daemon
-  /// never enabled tracing; nullopt on connection/timeout failure — and on
-  /// a pre-obs server, which answers kErrUnknownType.
-  std::optional<std::string> trace_dump(std::string* error = nullptr);
-
-  /// Round-trips a GetProm request: the server's metrics registry in
-  /// Prometheus text exposition format.  Same failure contract as above.
-  std::optional<std::string> prometheus_metrics(std::string* error = nullptr);
-
-  /// Convenience: submit every job, then wait for each in order.
+  /// Convenience: submit every job, then wait for each in order.  A
+  /// transport failure (submit or wait) comes back as a ResultFrame with
+  /// status `failed` and the reason in `error` — the protocol carries real
+  /// failures the same way, so callers have one error path.
   std::vector<ResultFrame> run(const std::vector<RemoteJob>& jobs);
 
   /// Wire-level errors the server pushed that were not fatal to a request
@@ -301,7 +286,7 @@ class Client {
   std::map<std::uint64_t, RemoteJob> pending_;  // resubmitted on reconnect
   std::map<std::uint64_t, ResultFrame> results_;
   std::map<std::uint64_t, std::vector<service::JobStatus>> updates_;
-  /// Tags refused with a RETRYABLE code: still pending; wait() backs off
+  /// Tags refused with a RETRYABLE code: still pending; wait_result() backs off
   /// and resubmits.  The paired map counts resubmit attempts per tag.
   std::set<std::uint64_t> retry_wanted_;
   std::map<std::uint64_t, int> retry_attempts_;

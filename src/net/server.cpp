@@ -114,9 +114,9 @@ struct Server::Impl {
       MutexLock lock(sink->m);
       sink->impl = this;
     }
-    ctr_frames_sent = obs::registry().counter(
+    ctr_frames_sent = service.registry().counter(
         "qross_net_frames_sent_total", "Frames queued to peers");
-    ctr_frames_received = obs::registry().counter(
+    ctr_frames_received = service.registry().counter(
         "qross_net_frames_received_total", "Well-framed frames received");
   }
 
@@ -153,7 +153,9 @@ struct Server::Impl {
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::uint64_t next_conn_id = 1;
 
-  // Registry instruments (atomic updates only — safe on the reactor).
+  // Frame counters in the service's registry: the only store of these
+  // counts, read back by Server::stats() (atomic updates only — safe on the
+  // reactor).
   obs::Counter* ctr_frames_sent = nullptr;
   obs::Counter* ctr_frames_received = nullptr;
 
@@ -192,14 +194,10 @@ struct Server::Impl {
   /// send here: the reactor flushes each connection once per pass, so a
   /// burst of frames leaves in one write instead of one per frame.
   void queue_frame(Connection* conn, std::uint32_t type,
-                   std::span<const std::uint8_t> payload) EXCLUDES(m) {
+                   std::span<const std::uint8_t> payload) {
     ctr_frames_sent->inc();
-    {
-      obs::ScopedSpan span("frame_encode", "net");
-      append_frame(conn->out, type, payload);
-    }
-    MutexLock lock(m);
-    ++stats.frames_sent;
+    obs::ScopedSpan span("frame_encode", "net");
+    append_frame(conn->out, type, payload);
   }
 
   /// Admission/lifecycle refusals (draining, quota): the peer used the
@@ -436,10 +434,6 @@ struct Server::Impl {
 
   void handle_frame(Connection* conn, const Frame& f) EXCLUDES(m) {
     ctr_frames_received->inc();
-    {
-      MutexLock lock(m);
-      ++stats.frames_received;
-    }
     if (!conn->handshaken) {
       if (f.type != io::kRecordNetHello) {
         queue_error(conn, 0, kErrHandshakeRequired,
@@ -574,7 +568,7 @@ struct Server::Impl {
       }
       case io::kRecordNetGetProm: {
         queue_frame(conn, io::kRecordNetPromText,
-                    encode_text(obs::registry().render_prometheus()));
+                    encode_text(service.registry().render_prometheus()));
         return;
       }
       case io::kRecordNetHello:
@@ -1064,8 +1058,14 @@ void Server::stop() {
 }
 
 ServerStats Server::stats() const {
-  MutexLock lock(impl_->m);
-  return impl_->stats;
+  ServerStats stats;
+  {
+    MutexLock lock(impl_->m);
+    stats = impl_->stats;
+  }
+  stats.frames_sent = impl_->ctr_frames_sent->value();
+  stats.frames_received = impl_->ctr_frames_received->value();
+  return stats;
 }
 
 }  // namespace qross::net

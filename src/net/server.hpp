@@ -74,6 +74,8 @@ struct ServerConfig {
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
+  /// Read from qross_net_frames_{received,sent}_total in the service's
+  /// registry, the only store of the two frame counts.
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t submits = 0;

@@ -58,6 +58,25 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+double Histogram::quantile(double q) const {
+  const auto counts = bucket_counts();
+  std::uint64_t total = 0;
+  for (const auto c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  std::uint64_t below = 0;  // observations in the buckets before i
+  for (std::size_t i = 0; i < bounds_.size(); ++i) {
+    if (counts[i] > 0 && static_cast<double>(below + counts[i]) >= rank) {
+      const double lower = i == 0 ? std::min(0.0, bounds_[0]) : bounds_[i - 1];
+      const double within = (rank - static_cast<double>(below)) /
+                            static_cast<double>(counts[i]);
+      return lower + (bounds_[i] - lower) * within;
+    }
+    below += counts[i];
+  }
+  return bounds_.back();
+}
+
 Registry::Entry& Registry::entry_locked(const std::string& name, Kind kind,
                                         const std::string& help) {
   QROSS_REQUIRE(!name.empty(), "metric name must be non-empty");
@@ -151,11 +170,6 @@ std::string Registry::render_prometheus() const {
     }
   }
   return out;
-}
-
-Registry& registry() {
-  static Registry* r = new Registry();  // leaked: see header
-  return *r;
 }
 
 }  // namespace qross::obs

@@ -1,10 +1,14 @@
 #pragma once
 
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms with a Prometheus-style text exposition.  Registration takes a
-// mutex and returns a stable pointer; the instruments themselves are updated
-// with atomics only, so hot paths (per-sweep ticks, per-frame counters) never
-// contend on the registry lock.
+// Metrics registry: named counters, gauges, and fixed-bucket histograms with
+// a Prometheus-style text exposition.  Each SolveService owns one, and it is
+// the only store of the events it counts: ServiceMetrics, the Metrics frame,
+// ServerStats' frame counts and the GetProm text all read the same
+// instruments, so two services in one process never see each other's counts
+// and no event is tallied twice.  Registration takes a mutex and returns a
+// stable pointer; the instruments themselves are updated with atomics only,
+// so hot paths (per-sweep ticks, per-frame counters) never contend on the
+// registry lock.
 //
 // Naming follows Prometheus conventions: snake_case, `_total` suffix on
 // counters, the unit in the name (`_ms`).  Names are unique across kinds —
@@ -63,6 +67,12 @@ class Histogram {
   std::vector<std::uint64_t> bucket_counts() const;
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Estimated q-quantile (q in [0, 1]) from the buckets, the way
+  /// Prometheus' histogram_quantile computes it: find the bucket holding
+  /// rank q * count and interpolate linearly between its bounds (the first
+  /// bucket starts at 0).  A rank in the +Inf bucket reports the highest
+  /// finite bound.  0 when nothing was observed.
+  double quantile(double q) const;
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
@@ -108,9 +118,5 @@ class Registry {
   /// it owns are atomics-only and updated lock-free through stable pointers.
   std::map<std::string, Entry> entries_ GUARDED_BY(m_);
 };
-
-/// Process-global registry (leaked, like the trace recorder, so instrumented
-/// destructors during static teardown stay safe).
-Registry& registry();
 
 }  // namespace qross::obs

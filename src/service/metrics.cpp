@@ -2,38 +2,7 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-#include "common/stats.hpp"
-
 namespace qross::service {
-
-LatencyReservoir::LatencyReservoir(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {
-  window_.reserve(capacity_);
-}
-
-void LatencyReservoir::record(double value_ms) {
-  if (window_.size() < capacity_) {
-    window_.push_back(value_ms);
-  } else {
-    window_[total_ % capacity_] = value_ms;
-  }
-  ++total_;
-}
-
-LatencyPercentiles LatencyReservoir::percentiles() const {
-  LatencyPercentiles p;
-  p.count = total_;
-  if (window_.empty()) return p;
-  // Snapshots run under the service lock: one sort for all three points.
-  const double qs[] = {0.50, 0.90, 0.99};
-  const std::vector<double> points = quantiles(window_, qs);
-  p.p50_ms = points[0];
-  p.p90_ms = points[1];
-  p.p99_ms = points[2];
-  p.max_ms = *std::max_element(window_.begin(), window_.end());
-  return p;
-}
 
 SlidingWindowRate::SlidingWindowRate(Clock::time_point origin,
                                      std::size_t window_seconds)

@@ -1,7 +1,7 @@
 #pragma once
 
-// Service observability: a point-in-time ServiceMetrics snapshot plus the
-// sliding-window latency reservoir that backs its percentiles.
+// Service observability: a point-in-time ServiceMetrics snapshot, built from
+// the service's obs::Registry, plus the trailing completion-rate window.
 
 #include <chrono>
 #include <cstddef>
@@ -11,12 +11,14 @@
 
 namespace qross::service {
 
+/// Lifetime latency summary read from a registry histogram: `count` is
+/// exact; the percentiles are bucket estimates (obs::Histogram::quantile),
+/// the same numbers a Prometheus histogram_quantile over the scrape gives.
 struct LatencyPercentiles {
-  std::size_t count = 0;  ///< samples ever recorded (window may hold fewer)
+  std::size_t count = 0;  ///< samples ever recorded
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double p99_ms = 0.0;
-  double max_ms = 0.0;
 };
 
 /// Per-client view of the fair-share scheduler: how much work one client id
@@ -93,25 +95,6 @@ struct ServiceMetrics {
   /// as resolved by qubo::active_simd_kind() at snapshot time — what a
   /// fleet operator reads to confirm which kernel a daemon actually runs.
   std::string simd_kernel;
-};
-
-/// Ring buffer over the most recent `capacity` latency samples.  Percentile
-/// snapshots are linear-interpolated quantiles (common/stats) over the
-/// window; `max` is over the window too, so both reflect recent traffic
-/// rather than all-time extremes.  Not internally synchronised.
-class LatencyReservoir {
- public:
-  explicit LatencyReservoir(std::size_t capacity = 1024);
-
-  void record(double value_ms);
-  std::size_t count() const { return total_; }
-
-  LatencyPercentiles percentiles() const;
-
- private:
-  std::size_t capacity_;
-  std::size_t total_ = 0;
-  std::vector<double> window_;  // filled circularly once total_ >= capacity_
 };
 
 /// Event rate over a trailing window of one-second buckets.  O(1) record,

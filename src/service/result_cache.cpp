@@ -9,11 +9,7 @@ ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {}
 std::shared_ptr<const qubo::SolveBatch> ResultCache::get(
     const Fingerprint& key) {
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to most-recent
   return it->second->batch;
 }

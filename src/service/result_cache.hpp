@@ -6,8 +6,9 @@
 // bit-identical by construction, at zero copy cost.
 //
 // NOT internally synchronised: the SolveService guards it with its own
-// mutex, and standalone users must do the same.  Hit/miss/eviction counters
-// feed the ServiceMetrics snapshot.
+// mutex, and standalone users must do the same.  Hits and misses are
+// counted by the service's registry, where admission has already decided
+// whether a lookup counts; the cache counts only its own evictions.
 
 #include <cstddef>
 #include <list>
@@ -30,7 +31,6 @@ class ResultCache {
   std::size_t size() const { return lru_.size(); }
 
   /// Returns the cached batch and marks it most-recently-used, or nullptr.
-  /// Counts one hit or one miss.
   std::shared_ptr<const qubo::SolveBatch> get(const Fingerprint& key);
 
   /// Inserts (or refreshes) an entry, evicting the least-recently-used one
@@ -38,8 +38,6 @@ class ResultCache {
   void put(const Fingerprint& key,
            std::shared_ptr<const qubo::SolveBatch> batch);
 
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
   std::size_t evictions() const { return evictions_; }
 
   void clear();
@@ -51,8 +49,6 @@ class ResultCache {
   };
 
   std::size_t capacity_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
   std::size_t evictions_ = 0;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<Fingerprint, std::list<Entry>::iterator, FingerprintHash>

@@ -153,15 +153,13 @@ struct ServiceCore {
   explicit ServiceCore(const ServiceConfig& cfg)
       : config(cfg),
         cache(cfg.cache_capacity),
-        wait_reservoir(cfg.latency_window),
-        run_reservoir(cfg.latency_window),
         started_at(Clock::now()),
         recent_rate(started_at) {
     // Metric instruments are resolved once here (a mutex + map lookup) and
     // cached as raw pointers so hot paths only touch atomics.  The registry
-    // is process-global: counters aggregate across service instances, which
-    // is the Prometheus model (one process = one scrape target).
-    auto& reg = obs::registry();
+    // belongs to this service and is the only store of what it counts:
+    // metrics() reads these instruments back rather than keeping copies.
+    obs::Registry& reg = registry;
     ctr_submitted = reg.counter("qross_jobs_submitted_total",
                                 "Admitted job submissions");
     ctr_done = reg.counter("qross_jobs_done_total",
@@ -233,7 +231,18 @@ struct ServiceCore {
   // leftover journal still loads fine and is folded by the next run that
   // writes, or by an explicit flush/`qross cache compact`.
   ~ServiceCore() {
-    if (store && cache_stored > 0) store->compact();
+    if (store && ctr_journal_appends->value() > 0) compact();
+  }
+
+  /// The one place the service compacts its store, so it is also where
+  /// compactions are counted.  Registered on first use, so a scrape shows
+  /// the family only once something was compacted.
+  std::size_t compact() {
+    registry
+        .counter("qross_cache_compactions_total",
+                 "CacheStore journal-into-snapshot compactions")
+        ->inc();
+    return store->compact();
   }
 
   /// Warm-fill callback target.  It runs inside the constructor, before any
@@ -292,7 +301,6 @@ struct ServiceCore {
     std::uint64_t rejected_queued = 0;
   };
   std::map<std::string, ClientState> clients GUARDED_BY(m);
-  std::uint64_t admission_rejected GUARDED_BY(m) = 0;
 
   static double clamp_weight(double weight) {
     return std::min(100.0, std::max(0.01, weight));
@@ -437,27 +445,17 @@ struct ServiceCore {
   /// keeping it readable on the journal path is the whole point.
   std::unique_ptr<io::CacheStore> store;
   std::size_t cache_loaded GUARDED_BY(m) = 0;
-  std::size_t cache_stored GUARDED_BY(m) = 0;
   std::size_t cache_load_skipped GUARDED_BY(m) = 0;
   std::size_t startup_evictions GUARDED_BY(m) = 0;
-
-  std::size_t queue_depth GUARDED_BY(m) = 0;
-  std::size_t running GUARDED_BY(m) = 0;
-  std::size_t submitted GUARDED_BY(m) = 0;
-  std::size_t completed GUARDED_BY(m) = 0;
-  std::size_t cancelled GUARDED_BY(m) = 0;
-  std::size_t expired GUARDED_BY(m) = 0;
-  std::size_t failed GUARDED_BY(m) = 0;
-  std::size_t coalesced GUARDED_BY(m) = 0;
-  std::size_t solver_invocations GUARDED_BY(m) = 0;
-  LatencyReservoir wait_reservoir GUARDED_BY(m);
-  LatencyReservoir run_reservoir GUARDED_BY(m);
   Clock::time_point started_at;
-  /// Trailing ~60 s completion rate (guarded by `m`, like the reservoirs).
+  /// Trailing ~60 s completion rate.
   SlidingWindowRate recent_rate GUARDED_BY(m);
 
-  // Registry instruments (process-global; see the constructor).  Updated
-  // with atomics only — safe under or outside `m`.
+  // The service's own registry and the instruments resolved from it (see
+  // the constructor).  Updated with atomics only — safe under or outside
+  // `m`.  The queue-depth and running gauges are the store for those two
+  // counts.
+  obs::Registry registry;
   obs::Counter* ctr_submitted = nullptr;
   obs::Counter* ctr_done = nullptr;
   obs::Counter* ctr_cancelled = nullptr;
@@ -476,13 +474,6 @@ struct ServiceCore {
   obs::Histogram* h_run = nullptr;
   obs::Histogram* h_journal = nullptr;
 
-  /// Mirrors queue_depth/running into the registry gauges.  Called at every
-  /// mutation site (all hold `m`).
-  void sync_gauges() REQUIRES(m) {
-    g_queue_depth->set(static_cast<double>(queue_depth));
-    g_running->set(static_cast<double>(running));
-  }
-
   /// Moves `job` to the terminal state in `result` (caller holds `m`).
   /// Returns false when the job already finished through another path.
   bool finish_job(const std::shared_ptr<JobState>& job, JobResult result)
@@ -491,17 +482,15 @@ struct ServiceCore {
     {
       MutexLock job_lock(job->m);
       if (is_terminal(job->status)) return false;
-      wait_reservoir.record(result.wait_ms);
       h_queue_wait->observe(result.wait_ms);
       switch (result.status) {
         case JobStatus::done:
-          ++completed;
           recent_rate.record(Clock::now());
           ctr_done->inc();
           break;
-        case JobStatus::cancelled: ++cancelled; ctr_cancelled->inc(); break;
-        case JobStatus::expired: ++expired; ctr_expired->inc(); break;
-        case JobStatus::failed: ++failed; ctr_failed->inc(); break;
+        case JobStatus::cancelled: ctr_cancelled->inc(); break;
+        case JobStatus::expired: ctr_expired->inc(); break;
+        case JobStatus::failed: ctr_failed->inc(); break;
         default: QROSS_ASSERT_MSG(false, "completion with non-terminal status");
       }
       auto& tracer = obs::TraceRecorder::instance();
@@ -637,8 +626,7 @@ void ServiceCore::cancel_job(const std::shared_ptr<JobState>& job) {
     }
     if (!any_live) {
       exec->dead = true;
-      --queue_depth;
-      sync_gauges();
+      g_queue_depth->add(-1);
       drop_inflight(exec);
     }
     return;
@@ -695,7 +683,7 @@ void ServiceCore::run_one() {
         if (job->deadline) candidate->watch.emplace_back(*job->deadline, job);
         if (job->stop.stop_possible()) tokens->push_back({job->stop, job});
       }
-      --queue_depth;
+      g_queue_depth->add(-1);
       if (!any_live) {
         candidate->dead = true;
         drop_inflight(candidate);
@@ -711,8 +699,7 @@ void ServiceCore::run_one() {
       }
       candidate->phase = ExecState::Phase::running;
       candidate->started_at = now;
-      ++running;
-      ++solver_invocations;
+      g_running->add(1);
       ctr_dispatched->inc();
       ++client_state(candidate->client_id).dispatched;
       running_execs.push_back(candidate);
@@ -741,7 +728,6 @@ void ServiceCore::run_one() {
       exec = candidate;
       break;
     }
-    sync_gauges();
   }
   if (!exec) return;
 
@@ -815,15 +801,13 @@ void ServiceCore::run_one() {
   bool persist = false;
   {
     MutexLock lock(m);
-    --running;
-    sync_gauges();
+    g_running->add(-1);
     exec->phase = ExecState::Phase::finished;
     drop_inflight(exec);
     std::erase(running_execs, exec);
     const bool stopped = exec->stop.stop_requested();
     const bool deadline_hit =
         exec->deadline_hit.load(std::memory_order_relaxed);
-    run_reservoir.record(run_ms);
     h_run->observe(run_ms);
     bool primary_taken = false;
     for (const auto& job : exec->subscribers) {
@@ -871,11 +855,7 @@ void ServiceCore::run_one() {
       appended = store->append({exec->key, run_ms, batch});
     }
     h_journal->observe(ms_between(append_start, Clock::now()));
-    if (appended) {
-      ctr_journal_appends->inc();
-      MutexLock lock(m);
-      ++cache_stored;
-    }
+    if (appended) ctr_journal_appends->inc();
   }
 }
 
@@ -996,7 +976,6 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
     if (hit == nullptr && core_->config.max_inflight_per_client > 0 &&
         client.inflight_jobs >= core_->config.max_inflight_per_client) {
       ++client.rejected_inflight;
-      ++core_->admission_rejected;
       core_->ctr_admission_rejected->inc();
       throw AdmissionError(
           AdmissionErrorKind::inflight_quota,
@@ -1027,7 +1006,6 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
     if (will_queue && core_->config.max_queued_per_client > 0 &&
         client.queued_jobs >= core_->config.max_queued_per_client) {
       ++client.rejected_queued;
-      ++core_->admission_rejected;
       core_->ctr_admission_rejected->inc();
       throw AdmissionError(
           AdmissionErrorKind::queued_quota,
@@ -1038,7 +1016,6 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
 
     // --- admitted -----------------------------------------------------------
     job->id = core_->next_job_id++;
-    ++core_->submitted;
     ++client.submitted;
     ++client.inflight_jobs;
     core_->ctr_submitted->inc();
@@ -1065,7 +1042,6 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
     if (join != nullptr) {
       join->subscribers.push_back(job);
       job->exec = join;
-      ++core_->coalesced;
       core_->ctr_coalesced->inc();
       if (join->phase == detail::ExecState::Phase::running) {
         {
@@ -1119,35 +1095,50 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
     job->counted_queued = true;
     if (!submit.bypass_cache) core_->inflight[key] = exec;
     core_->push_ready(exec);
-    ++core_->queue_depth;
-    core_->sync_gauges();
+    core_->g_queue_depth->add(1);
     schedule = true;
   }
   if (schedule) pool_.submit([core = core_] { core->run_one(); });
   return JobHandle(std::move(job));
 }
 
+namespace {
+
+LatencyPercentiles percentiles_of(const obs::Histogram& histogram) {
+  LatencyPercentiles p;
+  p.count = histogram.count();
+  p.p50_ms = histogram.quantile(0.50);
+  p.p90_ms = histogram.quantile(0.90);
+  p.p99_ms = histogram.quantile(0.99);
+  return p;
+}
+
+}  // namespace
+
 ServiceMetrics SolveService::metrics() const {
+  // Every instrument read here except the journal-append counter (see
+  // ServiceMetrics::cache_stored) is updated under core_->m, so holding it
+  // makes the snapshot consistent across counters.
   MutexLock lock(core_->m);
   ServiceMetrics s;
   s.workers = pool_.size();
-  s.queue_depth = core_->queue_depth;
-  s.running = core_->running;
-  s.submitted = core_->submitted;
-  s.completed = core_->completed;
-  s.cancelled = core_->cancelled;
-  s.expired = core_->expired;
-  s.failed = core_->failed;
-  s.coalesced = core_->coalesced;
-  s.solver_invocations = core_->solver_invocations;
-  s.cache_hits = core_->cache.hits();
-  s.cache_misses = core_->cache.misses();
+  s.queue_depth = static_cast<std::size_t>(core_->g_queue_depth->value());
+  s.running = static_cast<std::size_t>(core_->g_running->value());
+  s.submitted = core_->ctr_submitted->value();
+  s.completed = core_->ctr_done->value();
+  s.cancelled = core_->ctr_cancelled->value();
+  s.expired = core_->ctr_expired->value();
+  s.failed = core_->ctr_failed->value();
+  s.coalesced = core_->ctr_coalesced->value();
+  s.solver_invocations = core_->ctr_dispatched->value();
+  s.cache_hits = core_->ctr_cache_hits->value();
+  s.cache_misses = core_->ctr_cache_misses->value();
   s.cache_evictions = core_->cache.evictions() - core_->startup_evictions;
   s.cache_size = core_->cache.size();
   s.cache_loaded = core_->cache_loaded;
-  s.cache_stored = core_->cache_stored;
+  s.cache_stored = core_->ctr_journal_appends->value();
   s.cache_load_skipped = core_->cache_load_skipped;
-  s.admission_rejected = core_->admission_rejected;
+  s.admission_rejected = core_->ctr_admission_rejected->value();
   s.simd_kernel = qubo::to_string(qubo::active_simd_kind());
   s.clients.reserve(core_->clients.size());
   for (const auto& [id, c] : core_->clients) {
@@ -1171,8 +1162,8 @@ ServiceMetrics SolveService::metrics() const {
           ? static_cast<double>(s.completed) / s.uptime_seconds
           : 0.0;
   s.recent_jobs_per_second = core_->recent_rate.rate(now);
-  s.queue_wait = core_->wait_reservoir.percentiles();
-  s.run = core_->run_reservoir.percentiles();
+  s.queue_wait = percentiles_of(*core_->h_queue_wait);
+  s.run = percentiles_of(*core_->h_run);
   return s;
 }
 
@@ -1181,8 +1172,10 @@ std::size_t SolveService::flush_cache() {
   // and compaction (two file scans + an atomic rewrite) must not stall the
   // submit path.  An append racing the compaction lands in a fresh journal
   // and is folded in by the next flush or the destructor.
-  return core_->store ? core_->store->compact() : 0;
+  return core_->store ? core_->compact() : 0;
 }
+
+obs::Registry& SolveService::registry() { return core_->registry; }
 
 void SolveService::shutdown() {
   MutexLock lock(core_->m);
@@ -1192,8 +1185,7 @@ void SolveService::shutdown() {
   // this cancels exactly the executions still waiting for a worker.
   while (auto exec = core_->pop_ready()) {
     exec->dead = true;
-    --core_->queue_depth;
-    core_->sync_gauges();
+    core_->g_queue_depth->add(-1);
     core_->drop_inflight(exec);
     for (const auto& job : exec->subscribers) {
       JobResult r;

@@ -24,12 +24,16 @@
 //   * request coalescing: concurrent submissions with equal fingerprints
 //     share one execution; N identical submissions cost one solver call and
 //     produce N aliased results;
-//   * a ServiceMetrics snapshot: queue depth, throughput, per-phase
-//     latency percentiles, cache and job counters.
+//   * one obs::Registry per service, the only store of every counted event
+//     (Prometheus exposition via registry()), and a ServiceMetrics snapshot
+//     read from it: queue depth, throughput, per-phase latency percentiles,
+//     cache and job counters.
 //
 // Concurrency notes.  One mutex (in ServiceCore) guards the queue, the
-// in-flight index, the cache and the counters; each job additionally has a
-// small mutex + condvar for its own status (lock order: core before job).
+// in-flight index and the cache; the counters are registry atomics, bumped
+// under that mutex wherever metrics() must see them consistently.  Each job
+// additionally has a small mutex + condvar for its own status (lock order:
+// core before job).
 // Handles may outlive the service: the destructor drives every job to a
 // terminal state (queued → cancelled, running → stop requested and joined)
 // before the workers are torn down.  Do NOT call a blocking JobHandle
@@ -51,6 +55,10 @@
 #include "service/metrics.hpp"
 #include "solvers/solver.hpp"
 
+namespace qross::obs {
+class Registry;
+}  // namespace qross::obs
+
 namespace qross::service {
 
 struct ServiceConfig {
@@ -59,8 +67,6 @@ struct ServiceConfig {
   std::size_t num_workers = 2;
   /// LRU result-cache entries; 0 disables caching (coalescing stays on).
   std::size_t cache_capacity = 256;
-  /// Sliding-window size of the latency percentile reservoirs.
-  std::size_t latency_window = 1024;
   /// When non-empty, the result cache persists here across runs
   /// (io/CacheStore): entries are warm-filled at construction, journaled as
   /// executions complete, and compacted into a versioned snapshot by the
@@ -216,6 +222,11 @@ class SolveService {
                    solvers::SolveOptions options, SubmitOptions submit = {});
 
   ServiceMetrics metrics() const;
+
+  /// This service's metrics registry: every counter, gauge and histogram
+  /// behind metrics(), plus instruments layered on top of the service (the
+  /// network server's frame counters).  Render it for a Prometheus scrape.
+  obs::Registry& registry();
 
   /// Explicit persistence flush: compacts the on-disk store (journal merged
   /// into the snapshot, eviction budget applied).  Safe to call while

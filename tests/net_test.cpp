@@ -20,11 +20,14 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "counting_solver.hpp"
@@ -33,8 +36,10 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "problems/mvc/mvc.hpp"
+#include "prom_sample.hpp"
 #include "service/solve_service.hpp"
 #include "solvers/digital_annealer.hpp"
 
@@ -373,6 +378,27 @@ TEST(NetProtocolTest, AppendFrameEqualsFrameByteForByte) {
 
 // --- server + client --------------------------------------------------------
 
+/// Submits `job` and waits for its Result frame.  A transport failure fails
+/// the calling test and comes back as a `failed` frame carrying the reason;
+/// a server refusal already arrives as a failed frame.
+ResultFrame solve(Client& client, const RemoteJob& job) {
+  ResultFrame failed;
+  failed.status = service::JobStatus::failed;
+  const auto tag = client.submit_job(job);
+  if (!tag.ok()) {
+    ADD_FAILURE() << "submit failed: " << tag.error().message;
+    failed.error = tag.error().message;
+    return failed;
+  }
+  auto result = client.wait_result(tag.value());
+  if (!result.ok()) {
+    ADD_FAILURE() << "wait failed: " << result.error().message;
+    failed.error = result.error().message;
+    return failed;
+  }
+  return std::move(result).value();
+}
+
 class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -468,9 +494,7 @@ TEST_F(NetServerTest, SubmitOverTcpMatchesLocalSolveBitIdentically) {
   EXPECT_EQ(client.negotiated_version(), kProtocolVersion);
 
   const auto job = quick_job();
-  const auto tag = client.submit(job, &error);
-  ASSERT_TRUE(tag.has_value()) << error;
-  const auto result = client.wait(*tag);
+  const auto result = solve(client, job);
   ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
   ASSERT_NE(result.batch, nullptr);
 
@@ -510,13 +534,13 @@ TEST_F(NetServerTest, RepeatAndCrossClientSubmissionsHitTheServerCache) {
   std::string error;
   ASSERT_TRUE(first.connect(&error)) << error;
   const auto job = quick_job(21);
-  auto result = first.wait(*first.submit(job));
+  auto result = solve(first, job);
   ASSERT_EQ(result.status, service::JobStatus::done);
   EXPECT_FALSE(result.cache_hit);
   const auto baseline = result.batch;
 
   // Same connection, same job: served from the service cache.
-  result = first.wait(*first.submit(job));
+  result = solve(first, job);
   ASSERT_EQ(result.status, service::JobStatus::done);
   EXPECT_TRUE(result.cache_hit);
 
@@ -524,7 +548,7 @@ TEST_F(NetServerTest, RepeatAndCrossClientSubmissionsHitTheServerCache) {
   // daemon workflow): still a cache hit, still bit-identical.
   auto second = make_client(endpoint);
   ASSERT_TRUE(second.connect(&error)) << error;
-  result = second.wait(*second.submit(job));
+  result = solve(second, job);
   ASSERT_EQ(result.status, service::JobStatus::done);
   EXPECT_TRUE(result.cache_hit);
   ASSERT_NE(result.batch, nullptr);
@@ -541,12 +565,13 @@ TEST_F(NetServerTest, CancelEndToEndStopsARunningJob) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  const auto tag = client.submit(slow_job());
-  ASSERT_TRUE(tag.has_value());
+  const auto tag = client.submit_job(slow_job());
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
   ASSERT_TRUE(eventually([&] { return service_->metrics().running > 0; }));
-  ASSERT_TRUE(client.cancel(*tag));
-  const auto result = client.wait(*tag);
-  EXPECT_EQ(result.status, service::JobStatus::cancelled);
+  ASSERT_TRUE(client.cancel(tag.value()));
+  const auto result = client.wait_result(tag.value());
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result.value().status, service::JobStatus::cancelled);
 }
 
 TEST_F(NetServerTest, DeadlineTravelsAndExpiresMidRun) {
@@ -556,7 +581,7 @@ TEST_F(NetServerTest, DeadlineTravelsAndExpiresMidRun) {
   ASSERT_TRUE(client.connect(&error)) << error;
   auto job = slow_job(31);
   job.deadline_ms = 60;
-  const auto result = client.wait(*client.submit(job));
+  const auto result = solve(client, job);
   EXPECT_EQ(result.status, service::JobStatus::expired);
 }
 
@@ -566,7 +591,7 @@ TEST_F(NetServerTest, ClientDisconnectCancelsItsInFlightJobs) {
     auto client = make_client(endpoint);
     std::string error;
     ASSERT_TRUE(client.connect(&error)) << error;
-    ASSERT_TRUE(client.submit(slow_job(33)).has_value());
+    ASSERT_TRUE(client.submit_job(slow_job(33)).ok());
     ASSERT_TRUE(eventually([&] { return service_->metrics().running > 0; }));
   }  // client destroyed: socket closes with the job still running
   ASSERT_TRUE(eventually([&] { return service_->metrics().cancelled >= 1; }));
@@ -582,19 +607,20 @@ TEST_F(NetServerTest, StreamedStatusUpdatesArriveInOrder) {
   ASSERT_TRUE(client.connect(&error)) << error;
   auto job = slow_job(35);
   job.stream_status = true;
-  const auto tag = client.submit(job);
-  ASSERT_TRUE(tag.has_value());
+  const auto tag = client.submit_job(job);
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
   ASSERT_TRUE(eventually([&] { return service_->metrics().running > 0; }));
   // Give the reactor's status tick a chance to observe `running`, then end
   // the job; the updates ride the same stream the Result arrives on.
   std::this_thread::sleep_for(80ms);
-  client.cancel(*tag);
-  const auto result = client.wait(*tag);
-  EXPECT_EQ(result.status, service::JobStatus::cancelled);
+  client.cancel(tag.value());
+  const auto result = client.wait_result(tag.value());
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result.value().status, service::JobStatus::cancelled);
   // The first update is `queued` unless a worker grabbed the job before
   // the submit reply was even written; `running` must always have been
   // streamed by the time the cancel landed.
-  const auto updates = client.status_updates(*tag);
+  const auto updates = client.status_updates(tag.value());
   ASSERT_GE(updates.size(), 1u);
   EXPECT_EQ(updates.back(), service::JobStatus::running);
   if (updates.size() >= 2) {
@@ -609,11 +635,11 @@ TEST_F(NetServerTest, UnknownSolverNameIsRejectedPerRequest) {
   ASSERT_TRUE(client.connect(&error)) << error;
   RemoteJob job = quick_job();
   job.solver = "warp-drive";
-  const auto result = client.wait(*client.submit(job));
+  const auto result = solve(client, job);
   EXPECT_EQ(result.status, service::JobStatus::failed);
   EXPECT_NE(result.error.find("unknown solver"), std::string::npos);
   // The connection survives a per-request error.
-  const auto ok = client.wait(*client.submit(quick_job()));
+  const auto ok = solve(client, quick_job());
   EXPECT_EQ(ok.status, service::JobStatus::done);
 }
 
@@ -622,16 +648,17 @@ TEST_F(NetServerTest, MetricsRoundTripReportsConnectionLedger) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  ASSERT_EQ(client.wait(*client.submit(quick_job())).status,
+  ASSERT_EQ(solve(client, quick_job()).status,
             service::JobStatus::done);
-  const auto metrics = client.metrics(&error);
-  ASSERT_TRUE(metrics.has_value()) << error;
-  EXPECT_EQ(metrics->service.workers, service_->num_workers());
-  EXPECT_EQ(metrics->service.submitted, 1u);
-  EXPECT_EQ(metrics->connection_submitted, 1u);
-  EXPECT_EQ(metrics->connection_results, 1u);
-  EXPECT_EQ(metrics->connections_accepted, 1u);
-  EXPECT_EQ(metrics->connections_active, 1u);
+  const auto reply = client.fetch_metrics();
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  const MetricsFrame& metrics = reply.value();
+  EXPECT_EQ(metrics.service.workers, service_->num_workers());
+  EXPECT_EQ(metrics.service.submitted, 1u);
+  EXPECT_EQ(metrics.connection_submitted, 1u);
+  EXPECT_EQ(metrics.connection_results, 1u);
+  EXPECT_EQ(metrics.connections_accepted, 1u);
+  EXPECT_EQ(metrics.connections_active, 1u);
 }
 
 TEST_F(NetServerTest, DrainCompletesInFlightAndRejectsNewSubmissions) {
@@ -639,8 +666,8 @@ TEST_F(NetServerTest, DrainCompletesInFlightAndRejectsNewSubmissions) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  const auto tag = client.submit(quick_job(41));
-  ASSERT_TRUE(tag.has_value());
+  const auto tag = client.submit_job(quick_job(41));
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
   // Only start draining once the server has accepted the submission —
   // draining earlier would (correctly) refuse it, which is the other
   // assertion below.
@@ -650,12 +677,19 @@ TEST_F(NetServerTest, DrainCompletesInFlightAndRejectsNewSubmissions) {
   std::thread drainer([&] {
     EXPECT_TRUE(server_->drain(std::chrono::milliseconds(10000)));
   });
-  const auto result = client.wait(*tag);
-  EXPECT_EQ(result.status, service::JobStatus::done);
+  const auto result = client.wait_result(tag.value());
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result.value().status, service::JobStatus::done);
   drainer.join();
-  const auto refused = client.wait(*client.submit(quick_job(42)));
-  EXPECT_EQ(refused.status, service::JobStatus::failed);
-  EXPECT_NE(refused.error.find("draining"), std::string::npos);
+  // Draining is a retryable refusal: the client resubmits with backoff,
+  // then gives up with a typed refusal once its attempts run out.
+  const auto refused_tag = client.submit_job(quick_job(42));
+  ASSERT_TRUE(refused_tag.ok()) << refused_tag.error().message;
+  const auto refused = client.wait_result(refused_tag.value());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().kind, RemoteErrorKind::refused);
+  EXPECT_NE(refused.error().message.find("draining"), std::string::npos)
+      << refused.error().message;
 }
 
 TEST_F(NetServerTest, ClientReconnectsToARestartedServerAndResubmits) {
@@ -664,7 +698,7 @@ TEST_F(NetServerTest, ClientReconnectsToARestartedServerAndResubmits) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  ASSERT_EQ(client.wait(*client.submit(quick_job(51))).status,
+  ASSERT_EQ(solve(client, quick_job(51)).status,
             service::JobStatus::done);
 
   // Bounce the server (same service, same socket path) — a daemon restart
@@ -682,11 +716,9 @@ TEST_F(NetServerTest, ClientReconnectsToARestartedServerAndResubmits) {
   server_ = std::make_unique<Server>(*service_, config);
   ASSERT_TRUE(server_->start(&error)) << error;
 
-  // The old socket is dead; submit() or wait() notices, redials, and
-  // resubmits under the same tag.  The service cache makes the retry free.
-  const auto tag = client.submit(quick_job(51), &error);
-  ASSERT_TRUE(tag.has_value()) << error;
-  const auto result = client.wait(*tag);
+  // The old socket is dead; submit_job() or wait_result() notices, redials,
+  // and resubmits under the same tag.  The service cache makes the retry free.
+  const auto result = solve(client, quick_job(51));
   EXPECT_EQ(result.status, service::JobStatus::done);
   EXPECT_TRUE(result.cache_hit);
   EXPECT_EQ(invocations_.load(), 1);
@@ -876,12 +908,10 @@ TEST_F(NetServerTest, QuotaExceededFailsTheJobWithoutRetries) {
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
 
-  const auto slow = client.submit(slow_job());
-  ASSERT_TRUE(slow.has_value());
+  const auto slow = client.submit_job(slow_job());
+  ASSERT_TRUE(slow.ok()) << slow.error().message;
   ASSERT_TRUE(eventually([&] { return service_->metrics().running > 0; }));
-  const auto refused = client.submit(quick_job());
-  ASSERT_TRUE(refused.has_value());
-  const auto result = client.wait(*refused);
+  const auto result = solve(client, quick_job());
   EXPECT_EQ(result.status, service::JobStatus::failed);
   EXPECT_NE(result.error.find("quota"), std::string::npos) << result.error;
   const auto errors = client.take_errors();
@@ -892,8 +922,10 @@ TEST_F(NetServerTest, QuotaExceededFailsTheJobWithoutRetries) {
   EXPECT_EQ(server_->stats().protocol_errors, 0u);
   EXPECT_EQ(service_->metrics().admission_rejected, 1u);
 
-  ASSERT_TRUE(client.cancel(*slow));
-  EXPECT_EQ(client.wait(*slow).status, service::JobStatus::cancelled);
+  ASSERT_TRUE(client.cancel(slow.value()));
+  const auto cancelled = client.wait_result(slow.value());
+  ASSERT_TRUE(cancelled.ok()) << cancelled.error().message;
+  EXPECT_EQ(cancelled.value().status, service::JobStatus::cancelled);
 }
 
 // ISSUE 5 satellite: the submit handler used to map EVERY service.submit()
@@ -907,7 +939,7 @@ TEST_F(NetServerTest, InvalidJobIsBadRequestNotDrainingAndNotRetried) {
 
   RemoteJob invalid = quick_job();
   invalid.num_replicas = 0;  // the service refuses this at submit()
-  const auto result = client.wait(*client.submit(invalid));
+  const auto result = solve(client, invalid);
   EXPECT_EQ(result.status, service::JobStatus::failed);
   EXPECT_NE(result.error.find("num_replicas"), std::string::npos)
       << result.error;
@@ -918,7 +950,7 @@ TEST_F(NetServerTest, InvalidJobIsBadRequestNotDrainingAndNotRetried) {
   EXPECT_EQ(invocations_.load(), 0);
 
   // The connection survives; a valid job still runs.
-  EXPECT_EQ(client.wait(*client.submit(quick_job())).status,
+  EXPECT_EQ(solve(client, quick_job()).status,
             service::JobStatus::done);
 }
 
@@ -980,9 +1012,7 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
 
   auto client = make_client(*endpoint, /*request_timeout_ms=*/10000);
   ASSERT_TRUE(client.connect(&error)) << error;
-  const auto tag = client.submit(quick_job(61));
-  ASSERT_TRUE(tag.has_value());
-  const auto result = client.wait(*tag);
+  const auto result = solve(client, quick_job(61));
   EXPECT_EQ(result.status, service::JobStatus::done)
       << "retryable refusal must be resubmitted, got: " << result.error;
   EXPECT_EQ(submits_seen.load(), 2) << "refused once, resubmitted once";
@@ -1023,26 +1053,27 @@ TEST_F(NetServerTest, MetricsReportPerClientSchedulerRows) {
   ASSERT_TRUE(tenant.connect(&error)) << error;
   ASSERT_TRUE(anon.connect(&error)) << error;
 
-  ASSERT_EQ(tenant.wait(*tenant.submit(quick_job(71))).status,
+  ASSERT_EQ(solve(tenant, quick_job(71)).status,
             service::JobStatus::done);
-  ASSERT_EQ(anon.wait(*anon.submit(quick_job(72))).status,
+  ASSERT_EQ(solve(anon, quick_job(72)).status,
             service::JobStatus::done);
 
-  const auto metrics = tenant.metrics(&error);
-  ASSERT_TRUE(metrics.has_value()) << error;
-  EXPECT_EQ(metrics->client_id, "tenant-a");
-  ASSERT_EQ(metrics->clients.size(), 2u);
+  const auto reply = tenant.fetch_metrics();
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  const MetricsFrame& metrics = reply.value();
+  EXPECT_EQ(metrics.client_id, "tenant-a");
+  ASSERT_EQ(metrics.clients.size(), 2u);
   // Hello-named identity and the per-connection fallback, side by side.
-  EXPECT_EQ(metrics->clients[0].client_id, "conn-2");
-  EXPECT_EQ(metrics->clients[1].client_id, "tenant-a");
-  EXPECT_EQ(metrics->clients[1].weight, 2.0);
-  EXPECT_EQ(metrics->clients[1].submitted, 1u);
-  EXPECT_EQ(metrics->clients[1].completed, 1u);
-  EXPECT_EQ(metrics->clients[1].dispatched, 1u);
+  EXPECT_EQ(metrics.clients[0].client_id, "conn-2");
+  EXPECT_EQ(metrics.clients[1].client_id, "tenant-a");
+  EXPECT_EQ(metrics.clients[1].weight, 2.0);
+  EXPECT_EQ(metrics.clients[1].submitted, 1u);
+  EXPECT_EQ(metrics.clients[1].completed, 1u);
+  EXPECT_EQ(metrics.clients[1].dispatched, 1u);
 
-  const auto anon_metrics = anon.metrics(&error);
-  ASSERT_TRUE(anon_metrics.has_value()) << error;
-  EXPECT_EQ(anon_metrics->client_id, "conn-2");
+  const auto anon_metrics = anon.fetch_metrics();
+  ASSERT_TRUE(anon_metrics.ok()) << anon_metrics.error().message;
+  EXPECT_EQ(anon_metrics.value().client_id, "conn-2");
 }
 
 // --- observability over the wire (ISSUE 7) ----------------------------------
@@ -1071,16 +1102,17 @@ TEST_F(NetServerTest, TraceDumpStitchesARemoteJobEndToEnd) {
   job.num_replicas = 4;
   job.num_sweeps = 20;
   job.trace_id = 0xBEEFCAFE;
-  const auto tag = client.submit(job, &error);
-  ASSERT_TRUE(tag.has_value()) << error;
-  ASSERT_EQ(client.wait(*tag).status, service::JobStatus::done);
+  ASSERT_EQ(solve(client, job).status, service::JobStatus::done);
 
   // The journal append trails completion; poll the wire dump until it lands.
   std::string json;
   ASSERT_TRUE(eventually([&] {
-    const auto dump = client.trace_dump(&error);
-    if (!dump.has_value()) return false;
-    json = *dump;
+    const auto dump = client.fetch_trace();
+    if (!dump.ok()) {
+      error = dump.error().message;
+      return false;
+    }
+    json = dump.value();
     return json.find("\"name\":\"journal_append\"") != std::string::npos;
   })) << "journal_append span never appeared in the dump: " << error;
 
@@ -1106,9 +1138,9 @@ TEST_F(NetServerTest, TraceDumpWithTracingOffIsEmptyButValid) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  const auto dump = client.trace_dump(&error);
-  ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_NE(dump->find("\"traceEvents\":[]"), std::string::npos);
+  const auto dump = client.fetch_trace();
+  ASSERT_TRUE(dump.ok()) << dump.error().message;
+  EXPECT_NE(dump.value().find("\"traceEvents\":[]"), std::string::npos);
 }
 
 // The Prometheus exposition travels the wire and looks like Prometheus.
@@ -1117,17 +1149,200 @@ TEST_F(NetServerTest, PrometheusMetricsRoundTripOverTheWire) {
   auto client = make_client(endpoint);
   std::string error;
   ASSERT_TRUE(client.connect(&error)) << error;
-  ASSERT_EQ(client.wait(*client.submit(quick_job(55))).status,
-            service::JobStatus::done);
+  ASSERT_EQ(solve(client, quick_job(55)).status, service::JobStatus::done);
 
-  const auto text = client.prometheus_metrics(&error);
-  ASSERT_TRUE(text.has_value()) << error;
-  EXPECT_NE(text->find("# TYPE qross_jobs_submitted_total counter"),
+  const auto reply = client.fetch_prometheus();
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  const std::string& text = reply.value();
+  EXPECT_NE(text.find("# TYPE qross_jobs_submitted_total counter"),
             std::string::npos);
-  EXPECT_NE(text->find("# TYPE qross_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text->find("# TYPE qross_run_ms histogram"), std::string::npos);
-  EXPECT_NE(text->find("qross_run_ms_bucket{le=\"+Inf\"}"), std::string::npos);
-  EXPECT_NE(text->find("qross_net_frames_received_total"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE qross_queue_depth gauge"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE qross_run_ms histogram"), std::string::npos);
+  EXPECT_NE(text.find("qross_run_ms_bucket{le=\"+Inf\"}"), std::string::npos);
+  EXPECT_NE(text.find("qross_net_frames_received_total"), std::string::npos);
+}
+
+// --- one store per event ----------------------------------------------------
+//
+// The service's registry is the only store of every counted event: the
+// Metrics frame, the Prometheus scrape and ServerStats' frame counts all
+// read it, so they agree exactly, and each service counts only its own.
+
+class MetricsStoreTest : public NetServerTest {
+ protected:
+  /// Rebuilds a histogram from its scraped cumulative buckets (observing
+  /// each bucket's bound once per sample in it), so its quantiles can be
+  /// set against the percentiles the Metrics frame carries.
+  static std::unique_ptr<obs::Histogram> rebuild_histogram(
+      const std::string& text, const std::string& family) {
+    const std::string prefix = family + "_bucket{le=\"";
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> cumulative;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind(prefix, 0) != 0) continue;
+      const std::string le =
+          line.substr(prefix.size(), line.find('"', prefix.size()) -
+                                         prefix.size());
+      if (le != "+Inf") bounds.push_back(std::stod(le));
+      cumulative.push_back(std::stoull(line.substr(line.rfind(' ') + 1)));
+    }
+    auto histogram = std::make_unique<obs::Histogram>(bounds);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < cumulative.size(); ++i) {
+      const double value = i < bounds.size()
+                               ? bounds[i]
+                               : std::numeric_limits<double>::infinity();
+      for (; seen < cumulative[i]; ++seen) histogram->observe(value);
+    }
+    return histogram;
+  }
+};
+
+TEST_F(MetricsStoreTest, MetricsFrameAndScrapeAgreeAfterAMixedWorkload) {
+  service::ServiceConfig service_config;
+  service_config.max_inflight_per_client = 2;
+  service_config.cache_path = (dir_ / "cache.qsnap").string();
+  const auto endpoint = start("tcp:127.0.0.1:0", service_config);
+  auto client = make_client(endpoint);
+  std::string error;
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  // Misses then hits.
+  for (const std::uint64_t seed : {1, 2}) {
+    ASSERT_EQ(solve(client, quick_job(seed)).status, service::JobStatus::done);
+    const auto hit = solve(client, quick_job(seed));
+    ASSERT_EQ(hit.status, service::JobStatus::done);
+    EXPECT_TRUE(hit.cache_hit);
+  }
+  // A coalesced join onto a running execution fills the inflight quota, so
+  // a third submission is refused; then both joined jobs are cancelled.
+  const auto first = client.submit_job(slow_job(90));
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  ASSERT_TRUE(eventually([&] { return service_->metrics().running > 0; }));
+  const auto joined = client.submit_job(slow_job(90));
+  ASSERT_TRUE(joined.ok()) << joined.error().message;
+  ASSERT_TRUE(
+      eventually([&] { return service_->metrics().coalesced == 1; }));
+  EXPECT_EQ(solve(client, quick_job(3)).status, service::JobStatus::failed);
+  for (const auto& tag : {first, joined}) {
+    ASSERT_TRUE(client.cancel(tag.value()));
+    const auto result = client.wait_result(tag.value());
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    EXPECT_EQ(result.value().status, service::JobStatus::cancelled);
+  }
+  // An expiry mid-run.
+  auto due = slow_job(91);
+  due.deadline_ms = 60;
+  EXPECT_EQ(solve(client, due).status, service::JobStatus::expired);
+  // Journal appends trail completion; wait for both cached results.
+  ASSERT_TRUE(
+      eventually([&] { return service_->metrics().cache_stored == 2; }));
+
+  const auto reply = client.fetch_metrics();
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  const service::ServiceMetrics& m = reply.value().service;
+  const auto scrape = client.fetch_prometheus();
+  ASSERT_TRUE(scrape.ok()) << scrape.error().message;
+
+  // The workload did what it says.
+  EXPECT_EQ(m.submitted, 7u);
+  EXPECT_EQ(m.completed, 4u);
+  EXPECT_EQ(m.cache_hits, 2u);
+  EXPECT_EQ(m.cache_misses, 5u);
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(m.cancelled, 2u);
+  EXPECT_EQ(m.expired, 1u);
+  EXPECT_EQ(m.admission_rejected, 1u);
+  EXPECT_EQ(m.solver_invocations, 4u);
+
+  const std::pair<const char*, std::uint64_t> pairs[] = {
+      {"qross_jobs_submitted_total", m.submitted},
+      {"qross_jobs_done_total", m.completed},
+      {"qross_jobs_cancelled_total", m.cancelled},
+      {"qross_jobs_expired_total", m.expired},
+      {"qross_jobs_failed_total", m.failed},
+      {"qross_jobs_coalesced_total", m.coalesced},
+      {"qross_dispatches_total", m.solver_invocations},
+      {"qross_cache_hits_total", m.cache_hits},
+      {"qross_cache_misses_total", m.cache_misses},
+      {"qross_journal_appends_total", m.cache_stored},
+      {"qross_admission_rejected_total", m.admission_rejected},
+      {"qross_queue_depth", m.queue_depth},
+      {"qross_jobs_running", m.running},
+  };
+  for (const auto& [sample, value] : pairs) {
+    const auto scraped = testing::prom_sample(scrape.value(), sample);
+    ASSERT_TRUE(scraped.has_value()) << sample;
+    EXPECT_EQ(*scraped, static_cast<double>(value)) << sample;
+  }
+
+  // Latency: the frame's percentiles are the quantiles of the very buckets
+  // the scrape exposes.  The frame carries no sample count, so the exact
+  // counts are compared in process.
+  const service::ServiceMetrics local = service_->metrics();
+  const std::pair<const char*, service::LatencyPercentiles> latencies[] = {
+      {"qross_queue_wait_ms", m.queue_wait}, {"qross_run_ms", m.run}};
+  for (const auto& [family, wire] : latencies) {
+    const auto rebuilt = rebuild_histogram(scrape.value(), family);
+    EXPECT_DOUBLE_EQ(wire.p50_ms, rebuilt->quantile(0.50)) << family;
+    EXPECT_DOUBLE_EQ(wire.p90_ms, rebuilt->quantile(0.90)) << family;
+    EXPECT_DOUBLE_EQ(wire.p99_ms, rebuilt->quantile(0.99)) << family;
+  }
+  EXPECT_EQ(local.queue_wait.count, 7u);
+  EXPECT_EQ(local.run.count, 4u);
+  EXPECT_EQ(testing::prom_sample(scrape.value(), "qross_queue_wait_ms_count"),
+            static_cast<double>(local.queue_wait.count));
+  EXPECT_EQ(testing::prom_sample(scrape.value(), "qross_run_ms_count"),
+            static_cast<double>(local.run.count));
+
+  // Frame counts: the client is quiet, so the server's view and the
+  // registry read the same two counters.
+  const ServerStats stats = server_->stats();
+  const std::string text = service_->registry().render_prometheus();
+  EXPECT_GT(stats.frames_received, 0u);
+  EXPECT_EQ(testing::prom_sample(text, "qross_net_frames_received_total"),
+            static_cast<double>(stats.frames_received));
+  EXPECT_EQ(testing::prom_sample(text, "qross_net_frames_sent_total"),
+            static_cast<double>(stats.frames_sent));
+}
+
+TEST_F(MetricsStoreTest, TwoServicesInOneProcessCountSeparately) {
+  const auto endpoint = start_tcp();
+  auto client = make_client(endpoint);
+  std::string error;
+  ASSERT_TRUE(client.connect(&error)) << error;
+  ASSERT_EQ(solve(client, quick_job(81)).status, service::JobStatus::done);
+
+  service::SolveService other;
+  const auto solver = std::make_shared<solvers::DigitalAnnealer>();
+  solvers::SolveOptions options;
+  options.num_replicas = 4;
+  options.num_sweeps = 20;
+  for (const std::uint64_t seed : {82, 83}) {
+    ASSERT_EQ(other.submit(solver, test_model(seed), options).wait().status,
+              service::JobStatus::done);
+  }
+
+  EXPECT_EQ(service_->metrics().submitted, 1u);
+  EXPECT_EQ(other.metrics().submitted, 2u);
+  EXPECT_EQ(testing::prom_sample(service_->registry().render_prometheus(),
+                                 "qross_jobs_submitted_total"),
+            1.0);
+  EXPECT_EQ(testing::prom_sample(other.registry().render_prometheus(),
+                                 "qross_jobs_submitted_total"),
+            2.0);
+  // The wire scrape is the serving service's registry alone.
+  const auto scrape = client.fetch_prometheus();
+  ASSERT_TRUE(scrape.ok()) << scrape.error().message;
+  EXPECT_EQ(testing::prom_sample(scrape.value(), "qross_dispatches_total"),
+            1.0);
+  // Frame counters live only in the registry of the service that a server
+  // fronts.
+  EXPECT_FALSE(testing::prom_sample(other.registry().render_prometheus(),
+                                    "qross_net_frames_received_total")
+                   .has_value());
 }
 
 // --- transport: no Nagle stall, deferred flush -----------------------------
@@ -1255,7 +1470,7 @@ TEST_F(NetServerTest, SlowReaderGetsEveryResultIntactAndBlocksNoOne) {
     auto warm = make_client(endpoint);
     std::string error;
     ASSERT_TRUE(warm.connect(&error)) << error;
-    const auto result = warm.wait(*warm.submit(job));
+    const auto result = solve(warm, job);
     ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
     reference = result.batch;
   }
@@ -1332,7 +1547,7 @@ TEST_F(NetServerTest, SlowReaderGetsEveryResultIntactAndBlocksNoOne) {
     auto other = make_client(endpoint, /*request_timeout_ms=*/5000);
     std::string error;
     ASSERT_TRUE(other.connect(&error)) << error;
-    const auto result = other.wait(*other.submit(quick_job(78)));
+    const auto result = solve(other, quick_job(78));
     EXPECT_EQ(result.status, service::JobStatus::done) << result.error;
   }
 

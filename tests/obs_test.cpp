@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (ISSUE 7): the trace recorder's
 // ring-buffer semantics and Chrome export, the metrics registry's Prometheus
-// exposition, the latency-reservoir edge cases, the sliding-window rate, and
+// exposition and histogram quantiles, the sliding-window rate, and
 // an end-to-end stitched trace of one job through the in-process service
 // (submit → queue → dispatch → kernel → journal).
 
@@ -249,6 +249,59 @@ TEST(Registry, PrometheusExpositionParses) {
   EXPECT_DOUBLE_EQ(samples.at("wait_ms_sum"), 104.5);
 }
 
+// Histogram quantiles: the bucket estimates behind ServiceMetrics' latency
+// percentiles, computed the way Prometheus' histogram_quantile does.
+
+TEST(Registry, HistogramQuantileOfEmptyIsZero) {
+  obs::Histogram histogram({1.0, 10.0});
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.99), 0.0);
+}
+
+TEST(Registry, HistogramQuantileInterpolatesInsideABucket) {
+  obs::Histogram histogram({10.0, 20.0, 40.0});
+  for (const double v : {12.0, 14.0, 16.0, 18.0}) histogram.observe(v);
+  // All four samples sit in (10, 20]: rank q * 4 is spread linearly over it.
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.25), 12.5);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 15.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), 20.0);
+
+  // The first bucket starts at 0.
+  obs::Histogram first({10.0, 20.0});
+  first.observe(3.0);
+  first.observe(7.0);
+  EXPECT_DOUBLE_EQ(first.quantile(0.5), 5.0);
+}
+
+TEST(Registry, HistogramQuantileClampsTheInfBucketToTheTopBound) {
+  obs::Histogram histogram({1.0, 5.0});
+  histogram.observe(0.5);
+  histogram.observe(1e6);
+  histogram.observe(1e6);
+  histogram.observe(1e6);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.99), 5.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 5.0);
+  EXPECT_LE(histogram.quantile(0.25), 1.0);  // the one finite sample
+}
+
+TEST(Registry, HistogramQuantilesAreOrdered) {
+  obs::Histogram histogram({0.5, 1, 2.5, 5, 10, 25, 50, 100});
+  std::uint64_t x = 88172645463325252ull;  // xorshift: a spread of samples
+  for (int k = 0; k < 1000; ++k) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    histogram.observe(static_cast<double>(x % 12000) / 100.0);
+  }
+  const double p50 = histogram.quantile(0.50);
+  const double p90 = histogram.quantile(0.90);
+  const double p99 = histogram.quantile(0.99);
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  EXPECT_LE(p99, 100.0);
+}
+
 TEST(Log, ParseAndNames) {
   obs::LogLevel level = obs::LogLevel::off;
   EXPECT_TRUE(obs::parse_log_level("debug", &level));
@@ -258,66 +311,6 @@ TEST(Log, ParseAndNames) {
   EXPECT_FALSE(obs::parse_log_level("verbose", &level));
   EXPECT_EQ(level, obs::LogLevel::error);  // untouched on failure
   EXPECT_STREQ(obs::log_level_name(obs::LogLevel::warn), "warn");
-}
-
-// ---------------------------------------------------------------------------
-// LatencyReservoir edge cases (satellite: wrap-around, tiny capacities,
-// tiny-window quantile interpolation).
-
-TEST(LatencyReservoir, CapacityZeroClampsToOne) {
-  service::LatencyReservoir reservoir(0);
-  reservoir.record(1.0);
-  reservoir.record(2.0);
-  reservoir.record(3.0);
-  EXPECT_EQ(reservoir.count(), 3u);  // samples ever seen
-  const auto p = reservoir.percentiles();
-  EXPECT_EQ(p.count, 3u);
-  // The window holds only the newest sample.
-  EXPECT_DOUBLE_EQ(p.p50_ms, 3.0);
-  EXPECT_DOUBLE_EQ(p.p99_ms, 3.0);
-  EXPECT_DOUBLE_EQ(p.max_ms, 3.0);
-}
-
-TEST(LatencyReservoir, CapacityOneKeepsNewest) {
-  service::LatencyReservoir reservoir(1);
-  reservoir.record(10.0);
-  EXPECT_DOUBLE_EQ(reservoir.percentiles().p50_ms, 10.0);
-  reservoir.record(20.0);
-  const auto p = reservoir.percentiles();
-  EXPECT_EQ(p.count, 2u);
-  EXPECT_DOUBLE_EQ(p.p50_ms, 20.0);
-  EXPECT_DOUBLE_EQ(p.max_ms, 20.0);
-}
-
-TEST(LatencyReservoir, WrapAroundDropsOldestSamples) {
-  service::LatencyReservoir reservoir(4);
-  for (int v = 1; v <= 8; ++v) reservoir.record(static_cast<double>(v));
-  const auto p = reservoir.percentiles();
-  EXPECT_EQ(p.count, 8u);
-  // Window is {5,6,7,8}: old extremes must not leak into max or quantiles.
-  EXPECT_DOUBLE_EQ(p.max_ms, 8.0);
-  EXPECT_DOUBLE_EQ(p.p50_ms, 6.5);  // linear interpolation at q*(n-1)
-  EXPECT_GE(p.p50_ms, 5.0);
-  EXPECT_LE(p.p99_ms, 8.0);
-}
-
-TEST(LatencyReservoir, TinyWindowQuantilesInterpolate) {
-  service::LatencyReservoir reservoir(16);
-  reservoir.record(10.0);
-  reservoir.record(20.0);
-  const auto p = reservoir.percentiles();
-  EXPECT_DOUBLE_EQ(p.p50_ms, 15.0);
-  EXPECT_DOUBLE_EQ(p.p90_ms, 19.0);
-  EXPECT_NEAR(p.p99_ms, 19.9, 1e-9);
-  EXPECT_DOUBLE_EQ(p.max_ms, 20.0);
-}
-
-TEST(LatencyReservoir, EmptyReportsZeros) {
-  service::LatencyReservoir reservoir(8);
-  const auto p = reservoir.percentiles();
-  EXPECT_EQ(p.count, 0u);
-  EXPECT_DOUBLE_EQ(p.p50_ms, 0.0);
-  EXPECT_DOUBLE_EQ(p.max_ms, 0.0);
 }
 
 // ---------------------------------------------------------------------------

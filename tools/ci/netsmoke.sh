@@ -9,7 +9,8 @@
 # runs with --trace so the smoke also proves the observability surface end to
 # end: SIGUSR1 dumps a well-formed Chrome trace with the expected lifecycle
 # spans, `qross_cli trace` fetches the same ring over the wire, and
-# `remote metrics --prom` emits parseable Prometheus text.
+# `remote metrics --prom` emits parseable Prometheus text whose submission
+# count matches the human `remote metrics` view.
 #
 # Usage: tools/ci/netsmoke.sh [BUILD_DIR]   (default: current dir)
 set -euo pipefail
@@ -34,10 +35,16 @@ test -s netsmoke/energies1.txt
 diff netsmoke/energies1.txt netsmoke/energies2.txt
 grep -q '2 solver invocations, 0 expired/cancelled, 0 failed' netsmoke/run1.txt
 grep -q '2 cache hits, 0 coalesced, 0 solver invocations, 0 expired/cancelled, 0 failed' netsmoke/run2.txt
-./qross_cli remote metrics --server unix:netsmoke/qrossd.sock
+./qross_cli remote metrics --server unix:netsmoke/qrossd.sock | tee netsmoke/metrics.txt
 ./qross_cli remote metrics --server unix:netsmoke/qrossd.sock --prom | tee netsmoke/metrics.prom
 grep -q '^# TYPE qross_jobs_submitted_total counter' netsmoke/metrics.prom
 grep -q '^qross_run_ms_bucket{le="+Inf"}' netsmoke/metrics.prom
+# One store per event: the Metrics frame and the scrape read the same
+# registry counter, so the two views of the four submissions agree.
+submitted=$(sed -n 's/^service: .*| \([0-9]*\) submitted,.*/\1/p' netsmoke/metrics.txt)
+scraped=$(awk '$1 == "qross_jobs_submitted_total" {print $2}' netsmoke/metrics.prom)
+test "$submitted" = 4
+test "$scraped" = "$submitted"
 ./qross_cli trace --server unix:netsmoke/qrossd.sock --out netsmoke/wire-trace.json
 kill -USR1 "$(cat netsmoke/daemon.pid)"
 for i in $(seq 1 50); do [ -s netsmoke/trace.json ] && break; sleep 0.1; done

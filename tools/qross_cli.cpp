@@ -704,14 +704,15 @@ int cmd_remote_batch(const Args& args) {
       "\nremote: %zu results | %zu cache hits, %zu coalesced, "
       "%zu solver invocations, %zu expired/cancelled, %zu failed\n",
       results.size(), cache_hits, coalesced, solver_runs, unfinished, failed);
-  if (const auto metrics = client.metrics()) {
+  if (const auto metrics = client.fetch_metrics()) {
+    const net::MetricsFrame& reply = metrics.value();
     std::printf(
         "server: %zu workers | %zu submitted lifetime, %zu cached entries | "
         "%.2f jobs/s recent | %llu connections served, %llu active\n",
-        metrics->service.workers, metrics->service.submitted,
-        metrics->service.cache_size, metrics->service.recent_jobs_per_second,
-        static_cast<unsigned long long>(metrics->connections_accepted),
-        static_cast<unsigned long long>(metrics->connections_active));
+        reply.service.workers, reply.service.submitted,
+        reply.service.cache_size, reply.service.recent_jobs_per_second,
+        static_cast<unsigned long long>(reply.connections_accepted),
+        static_cast<unsigned long long>(reply.connections_active));
   }
   return failed == 0 ? 0 : 1;
 }
@@ -836,25 +837,26 @@ int cmd_remote_metrics(const Args& args) {
   const RemoteArgs remote = parse_remote_args(args);
   net::Client client = make_remote_client(remote);
   connect_or_fail(client, remote);
-  std::string error;
   if (args.contains("prom")) {
     // Raw Prometheus text exposition, suitable for a textfile collector or
     // a curl-style scrape through this CLI.
-    const auto text = client.prometheus_metrics(&error);
-    if (!text.has_value()) {
+    const auto text = client.fetch_prometheus();
+    if (!text.ok()) {
       std::fprintf(stderr, "error: prometheus request failed: %s\n",
-                   error.c_str());
+                   text.error().message.c_str());
       return 1;
     }
-    std::fwrite(text->data(), 1, text->size(), stdout);
+    std::fwrite(text.value().data(), 1, text.value().size(), stdout);
     return 0;
   }
-  const auto metrics = client.metrics(&error);
-  if (!metrics.has_value()) {
-    std::fprintf(stderr, "error: metrics request failed: %s\n", error.c_str());
+  const auto metrics = client.fetch_metrics();
+  if (!metrics.ok()) {
+    std::fprintf(stderr, "error: metrics request failed: %s\n",
+                 metrics.error().message.c_str());
     return 1;
   }
-  const auto& m = metrics->service;
+  const net::MetricsFrame& reply = metrics.value();
+  const auto& m = reply.service;
   std::printf("protocol: v%u negotiated\n", client.negotiated_version());
   std::printf(
       "service:  %zu workers | %zu submitted, %zu done, %zu cancelled, "
@@ -877,20 +879,20 @@ int cmd_remote_metrics(const Args& args) {
   std::printf(
       "server:   %llu connections accepted, %llu active, "
       "%llu protocol errors, %llu refused full\n",
-      static_cast<unsigned long long>(metrics->connections_accepted),
-      static_cast<unsigned long long>(metrics->connections_active),
-      static_cast<unsigned long long>(metrics->protocol_errors),
-      static_cast<unsigned long long>(metrics->connections_rejected_full));
+      static_cast<unsigned long long>(reply.connections_accepted),
+      static_cast<unsigned long long>(reply.connections_active),
+      static_cast<unsigned long long>(reply.protocol_errors),
+      static_cast<unsigned long long>(reply.connections_rejected_full));
   std::printf(
       "admission: %llu submissions rejected by per-client quotas | "
       "this connection is client '%s'\n",
-      static_cast<unsigned long long>(metrics->service.admission_rejected),
-      metrics->client_id.c_str());
-  if (!metrics->clients.empty()) {
+      static_cast<unsigned long long>(reply.service.admission_rejected),
+      reply.client_id.c_str());
+  if (!reply.clients.empty()) {
     std::printf(
         "clients:  id                       weight  queued  inflight "
         "submitted  done      dispatched rejected(infl/queue)\n");
-    for (const auto& c : metrics->clients) {
+    for (const auto& c : reply.clients) {
       std::printf(
           "          %-24s %-7.2f %-7zu %-8zu %-10llu %-9llu %-10llu "
           "%llu/%llu\n",
@@ -921,21 +923,22 @@ int cmd_trace(const Args& args) {
   }
   net::Client client = make_remote_client(remote);
   connect_or_fail(client, remote);
-  std::string error;
-  const auto json = client.trace_dump(&error);
-  if (!json.has_value()) {
-    std::fprintf(stderr, "error: trace request failed: %s\n", error.c_str());
+  const auto trace = client.fetch_trace();
+  if (!trace.ok()) {
+    std::fprintf(stderr, "error: trace request failed: %s\n",
+                 trace.error().message.c_str());
     return 1;
   }
+  const std::string& json = trace.value();
   if (out_path.empty()) {
-    std::fwrite(json->data(), 1, json->size(), stdout);
+    std::fwrite(json.data(), 1, json.size(), stdout);
     std::printf("\n");
   } else {
-    out_file.write(json->data(), static_cast<std::streamsize>(json->size()));
+    out_file.write(json.data(), static_cast<std::streamsize>(json.size()));
     out_file.close();
     if (!out_file.good()) fail_input("short write to --out " + out_path);
     std::printf("trace written to %s (%zu bytes)\n", out_path.c_str(),
-                json->size());
+                json.size());
   }
   return 0;
 }
