@@ -1,4 +1,4 @@
-// Design ablation (ours, motivated by DESIGN.md): how much does the graph
+// Design ablation (ours; see EXPERIMENTS.md): how much does the graph
 // feature descriptor contribute to surrogate accuracy?  Trains three
 // surrogates on the same DA dataset with progressively poorer features —
 // full 24-dim descriptor, distance-moments-only, and size-only — and

@@ -235,19 +235,40 @@ void BM_SimulatedAnnealerCall(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedAnnealerCall)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
 
+/// One DA solve call in the end-to-end benchmark's two kernel shapes:
+/// range(0) cities (10 = the solve_fresh job, 12 = the tune_remote probe),
+/// 8 replicas x range(1) sweeps, on the arm range(2) (0 scalar, 1 AVX2) —
+/// the layer-level number behind solvers.kernel_span_ms_p50.  The arms
+/// return identical batches; only the time differs.
 void BM_DigitalAnnealerCall(benchmark::State& state) {
   const auto model = make_tsp_qubo(static_cast<std::size_t>(state.range(0)));
+  const auto kind =
+      state.range(2) == 0 ? qubo::SimdKind::kScalar : qubo::SimdKind::kAvx2;
+  const qubo::SimdKind previous = qubo::active_simd_kind();
+  if (qubo::set_simd_kind(kind) != kind) {
+    qubo::set_simd_kind(previous);
+    state.SkipWithError("requested SIMD arm unavailable on this CPU");
+    return;
+  }
   const solvers::DigitalAnnealer solver;
   solvers::SolveOptions options;
-  options.num_replicas = 4;
-  options.num_sweeps = 50;
+  options.num_replicas = 8;
+  options.num_sweeps = static_cast<std::size_t>(state.range(1));
   std::uint64_t seed = 0;
   for (auto _ : state) {
     options.seed = ++seed;
     benchmark::DoNotOptimize(solver.solve(model, options));
   }
+  qubo::set_simd_kind(previous);
+  state.SetLabel(qubo::to_string(kind));
 }
-BENCHMARK(BM_DigitalAnnealerCall)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DigitalAnnealerCall)
+    ->ArgNames({"cities", "sweeps", "avx2"})
+    ->Args({10, 40, 0})
+    ->Args({10, 40, 1})
+    ->Args({12, 20, 0})
+    ->Args({12, 20, 1})
+    ->Unit(benchmark::kMillisecond);
 
 /// Full qbsolv call on an MVC instance — the hybrid whose per-replica
 /// energy rescore used to be a dense O(n^2) model.energy.

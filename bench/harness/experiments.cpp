@@ -73,7 +73,7 @@ solvers::SolverPtr make_solver(SolverKind kind) {
     case SolverKind::kQbsolv: {
       // Weakened relative to the library default so the hybrid keeps a
       // stochastic Pf transition on benchmark-sized instances (the
-      // full-strength solver turns Pf into a step function; see DESIGN.md).
+      // full-strength solver turns Pf into a step function; see EXPERIMENTS.md).
       solvers::QbsolvParams params;
       params.num_rounds = 1;
       params.subsolver_sweeps = 20;

@@ -60,7 +60,8 @@ struct ExperimentConfig {
 /// Default config, honouring QROSS_FAST=1 (fewer instances and trials).
 ExperimentConfig default_config();
 
-/// Solver instance for a kind (bench-calibrated parameters; see DESIGN.md).
+/// Solver instance for a kind (bench-calibrated parameters; see
+/// EXPERIMENTS.md, "Scaled-down settings").
 solvers::SolverPtr make_solver(SolverKind kind);
 
 /// Per-kind solve budgets (batch size B and sweeps), independent of size.

@@ -37,6 +37,12 @@ class Rng {
 
   std::uint64_t next();
 
+  /// The raw xoshiro256** state words, for kernels that step several
+  /// generators in lockstep (qubo::ReplicaBlockEvaluator::trial_scan) and
+  /// must leave each exactly where next() would have.
+  const std::array<std::uint64_t, 4>& state() const { return s_; }
+  void set_state(const std::array<std::uint64_t, 4>& state) { s_ = state; }
+
   /// Uniform double in [0, 1).
   double uniform();
 

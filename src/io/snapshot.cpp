@@ -19,6 +19,16 @@ constexpr std::uint32_t kMaxBitsPerResult = 1u << 26;
 // this is corruption or abuse — a remote SubmitJob frame must not be able
 // to trigger a multi-gigabyte allocation with a 40-byte payload.
 constexpr std::uint32_t kMaxModelVars = 1u << 13;
+// Below that cap the commitment is bounded by the payload that asks for it:
+// the dense matrix may cost at most kDenseBytesPerPayloadByte bytes per byte
+// of the model's encoding (16 header bytes plus 16 per term), except that a
+// model of up to kFreeModelVars variables (8 MiB) decodes whatever its term
+// count.  A 16-byte payload claiming 8192 variables is refused before the
+// 512 MiB matrix is allocated; a sparse 8192-variable model needs 32k terms.
+constexpr std::uint64_t kModelHeaderBytes = 16;
+constexpr std::uint64_t kModelTermBytes = 16;
+constexpr std::uint64_t kFreeModelVars = 1024;
+constexpr std::uint64_t kDenseBytesPerPayloadByte = 1024;
 
 }  // namespace
 
@@ -153,8 +163,7 @@ qubo::QuboModel decode_model(ByteReader& in) {
   if (num_vars > kMaxModelVars) {
     throw DecodeError("implausible model size: " + std::to_string(num_vars));
   }
-  qubo::QuboModel model(num_vars);
-  model.set_offset(in.f64());
+  const double offset = in.f64();
   const std::uint32_t nnz = in.u32();
   // A dense model has at most n(n+1)/2 structural nonzeros; a count beyond
   // that is corruption, and catching it here stops an allocation bomb.
@@ -163,6 +172,22 @@ qubo::QuboModel decode_model(ByteReader& in) {
   if (nnz > max_nnz) {
     throw DecodeError("implausible nonzero count: " + std::to_string(nnz));
   }
+  if (in.remaining() / kModelTermBytes < nnz) {
+    throw DecodeError("truncated model: " + std::to_string(nnz) +
+                      " terms need " + std::to_string(nnz * kModelTermBytes) +
+                      " bytes, have " + std::to_string(in.remaining()));
+  }
+  const std::uint64_t dense_bytes =
+      sizeof(double) * static_cast<std::uint64_t>(num_vars) * num_vars;
+  const std::uint64_t payload_bytes = kModelHeaderBytes + kModelTermBytes * nnz;
+  if (num_vars > kFreeModelVars &&
+      dense_bytes > kDenseBytesPerPayloadByte * payload_bytes) {
+    throw DecodeError("model of " + std::to_string(num_vars) +
+                      " variables is too large for its " +
+                      std::to_string(nnz) + " terms");
+  }
+  qubo::QuboModel model(num_vars);
+  model.set_offset(offset);
   for (std::uint32_t k = 0; k < nnz; ++k) {
     const std::uint32_t i = in.u32();
     const std::uint32_t j = in.u32();

@@ -115,7 +115,8 @@ qubo::SolveBatch decode_batch(ByteReader& in);
 void encode_model(ByteWriter& out, const qubo::QuboModel& model);
 
 /// Throws DecodeError on malformed input (truncated triples, out-of-range
-/// indices, or an implausible variable count).
+/// indices, or an implausible variable count) before allocating the model:
+/// its dense matrix is bounded by the payload's size (see snapshot.cpp).
 qubo::QuboModel decode_model(ByteReader& in);
 
 }  // namespace qross::io

@@ -12,7 +12,7 @@ std::vector<std::size_t> tsplib_like_sizes() {
   // Eleven sizes spanning the out-of-distribution range; the synthetic
   // training set stays below the smallest of these.  Capped at 20 cities
   // (400 QUBO variables) so the full Digital-Annealer benchmark sweep stays
-  // tractable on one CPU core (see DESIGN.md §2).
+  // tractable on one CPU core (see EXPERIMENTS.md, "Scaled-down settings").
   return {15, 15, 16, 16, 17, 17, 18, 18, 19, 20, 20};
 }
 

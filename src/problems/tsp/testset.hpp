@@ -4,12 +4,13 @@
 //
 // The paper evaluates on eleven TSPLIB instances with 14 < N < 90.  TSPLIB
 // files are not redistributable inside this repository, so we substitute a
-// deterministic set of eleven clustered-city instances (see DESIGN.md):
-// clustered geometry is out-of-distribution relative to the uniform /
-// exponential synthetic training set in both spatial structure and size,
-// which is the property §5.2 actually tests.  Each instance is materialised
-// through the TSPLIB writer/parser so the on-disk pipeline is exercised end
-// to end, and users can swap in genuine TSPLIB files via load_tsplib_file.
+// deterministic set of eleven clustered-city instances (see EXPERIMENTS.md,
+// "Substitutes"): clustered geometry is out-of-distribution relative to the
+// uniform / exponential synthetic training set in both spatial structure
+// and size, which is the property §5.2 actually tests.  Each instance is
+// materialised through the TSPLIB writer/parser so the on-disk pipeline is
+// exercised end to end, and users can swap in genuine TSPLIB files via
+// load_tsplib_file.
 
 #include <vector>
 
@@ -18,8 +19,9 @@
 namespace qross::tsp {
 
 /// Sizes of the eleven instances.  Scaled down from the paper's 14 < N < 90
-/// so that the full benchmark suite runs on one CPU core (see DESIGN.md §2);
-/// still strictly larger than the synthetic training sizes.
+/// so that the full benchmark suite runs on one CPU core (see EXPERIMENTS.md,
+/// "Scaled-down settings"); still strictly larger than the synthetic
+/// training sizes.
 std::vector<std::size_t> tsplib_like_sizes();
 
 /// The eleven deterministic clustered instances, round-tripped through the

@@ -1,6 +1,7 @@
 #include "qubo/replica_block.hpp"
 
 #include <bit>
+#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -58,8 +59,31 @@ void scalar_apply_flips(const SparseAdjacency& adj, std::size_t i,
   }
 }
 
+// Per lane, the draw sequence of the digital annealer's original
+// per-replica loop: lanes own independent generators, so visiting them
+// variable by variable changes no lane's stream.
+void scalar_trial_scan(const double* fields, const std::uint64_t* state,
+                       std::size_t stride, const TrialScan& scan) {
+  const std::size_t words = (stride + 63) / 64;
+  for (std::size_t l = 0; l < scan.lanes; ++l) scan.counts[l] = 0;
+  for (std::size_t i = 0; i < scan.num_vars; ++i) {
+    const double* fields_row = fields + i * stride;
+    const std::uint64_t* state_row = state + i * words;
+    for (std::size_t l = 0; l < scan.lanes; ++l) {
+      const bool set = (state_row[l / 64] >> (l % 64)) & 1u;
+      const double delta =
+          (set ? -fields_row[l] : fields_row[l]) - scan.offsets[l];
+      if (delta <= 0.0 || scan.rngs[l].uniform() <
+                              std::exp(-delta / scan.temperature)) {
+        scan.accepted[l * scan.num_vars + scan.counts[l]++] =
+            static_cast<std::uint32_t>(i);
+      }
+    }
+  }
+}
+
 constexpr BlockKernel kScalarKernel{scalar_compute_flip_deltas,
-                                    scalar_apply_flips};
+                                    scalar_apply_flips, scalar_trial_scan};
 
 }  // namespace
 

@@ -28,6 +28,19 @@
 // rather than adding zero (0.0 + -0.0 would flip a sign bit).  The
 // equivalence suite in tests/simd_equivalence_test.cpp enforces this.
 //
+// trial_scan (the digital annealer's Metropolis test over every variable
+// and lane) keeps the same promise in a different way: its AVX2 arm makes
+// every accept decision and every RNG draw of the scalar arm, so the
+// accepted lists and generator states agree exactly.  Per lane it steps
+// the generator only where !(delta <= 0) — a NaN delta draws, as in
+// scalar code — and decides u < exp(-delta / T) with a short polynomial
+// a ~ exp whose relative error is far below δ = 1e-7: u < a(1 - δ) accepts,
+// u >= a(1 + δ) rejects, and only a pair in the band between (or a NaN)
+// calls the scalar arm's exact std::exp expression.  Below -delta / T =
+// -37.5, exp is under 2^-53, the smallest nonzero draw, so every draw but
+// u == 0 rejects and u == 0 takes the exact expression (exp underflows to
+// zero below about -745).
+//
 // Like IncrementalEvaluator, a block is not thread-safe: one block per
 // worker.  The kernel arm is chosen at construction from
 // active_simd_kind() (QROSS_SIMD / set_simd_kind) and can be pinned
@@ -37,6 +50,7 @@
 #include <span>
 
 #include "common/aligned.hpp"
+#include "common/rng.hpp"
 #include "qubo/model.hpp"
 #include "qubo/simd.hpp"
 #include "qubo/sparse.hpp"
@@ -62,9 +76,22 @@ struct BlockScratch {
   double* lane_sign;  // 64-byte aligned
 };
 
+/// Inputs and outputs of one parallel-trial scan
+/// (ReplicaBlockEvaluator::trial_scan).
+struct TrialScan {
+  std::size_t num_vars;
+  std::size_t lanes;
+  const double* offsets;    // lanes doubles
+  double temperature;
+  Rng* rngs;                // lanes generators, advanced in place
+  std::uint32_t* accepted;  // lane l's list at accepted + l * num_vars
+  std::uint32_t* counts;    // lanes list lengths
+};
+
 /// One dispatch arm.  compute_flip_deltas reads row i's fields/state and
 /// writes stride deltas; apply_flips commits the accepted lanes of a
-/// proposed flip of variable i (energy, packed bit, neighbour fields).
+/// proposed flip of variable i (energy, packed bit, neighbour fields);
+/// trial_scan runs the Metropolis test on every (variable, lane) pair.
 struct BlockKernel {
   void (*compute_flip_deltas)(const double* fields_row,
                               const std::uint64_t* state_row,
@@ -72,6 +99,8 @@ struct BlockKernel {
   void (*apply_flips)(const SparseAdjacency& adj, std::size_t i,
                       const BlockArrays& arrays, const std::uint64_t* accept,
                       const double* deltas, const BlockScratch& scratch);
+  void (*trial_scan)(const double* fields, const std::uint64_t* state,
+                     std::size_t stride, const TrialScan& scan);
 };
 
 const BlockKernel& scalar_block_kernel();
@@ -145,6 +174,25 @@ class ReplicaBlockEvaluator {
   /// Single-lane flip (O(deg(i)) scalar) for per-lane control flow like the
   /// digital annealer's pick-one-of-accepted step.
   void apply_flip_lane(std::size_t lane, std::size_t i);
+
+  /// The digital annealer's parallel trial: for every variable i in
+  /// ascending order and every lane l, the Metropolis test
+  ///
+  ///   delta = flip_delta(l, i) - offsets[l];
+  ///   delta <= 0.0 || rngs[l].uniform() < std::exp(-delta / temperature)
+  ///
+  /// appending each accepted i to lane l's list: counts[l] entries at
+  /// accepted + l * num_vars() (which must hold lanes() * num_vars()).
+  /// `offsets` and `rngs` hold lanes() entries; each generator advances by
+  /// exactly the draws that expression makes.  Both arms return the same
+  /// lists and leave the same generator states — see the contract above.
+  void trial_scan(const double* offsets, double temperature, Rng* rngs,
+                  std::uint32_t* accepted, std::uint32_t* counts) const {
+    kernel_->trial_scan(
+        fields_.data(), state_.data(), stride_,
+        detail::TrialScan{n_, lanes_, offsets, temperature, rngs, accepted,
+                          counts});
+  }
 
  private:
   SparseAdjacencyPtr adjacency_;

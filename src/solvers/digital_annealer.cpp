@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "qubo/replica_block.hpp"
@@ -59,27 +58,29 @@ qubo::SolveBatch DigitalAnnealer::solve(const qubo::QuboModel& model,
 
   // The DA parallel-trial loop is naturally lockstep — every replica tests
   // ALL variables in ascending order each step — so replicas block straight
-  // onto ReplicaBlockEvaluator with no schedule change: each lane's RNG
-  // draw sequence, fields and energies are bitwise those of the pre-SIMD
-  // per-replica kernel (config_digest is unchanged on purpose; cached
-  // batches stay valid).  Only the delta reads vectorise; the one flip a
-  // lane commits per step stays a scalar apply_flip_lane since lanes pick
-  // divergent variables.
+  // onto ReplicaBlockEvaluator with no schedule change.  The Metropolis
+  // scan runs as one block kernel (trial_scan): its AVX2 arm steps the
+  // lanes' xoshiro states in registers and screens u < exp(-delta / T)
+  // with a polynomial filter, falling back to the exact std::exp
+  // expression inside the filter's error band, so every accept decision
+  // and RNG draw is bitwise the pre-SIMD per-replica kernel's on both arms
+  // (config_digest is unchanged on purpose; cached batches stay valid).
+  // The one flip a lane commits per step stays a scalar apply_flip_lane
+  // since lanes pick divergent variables.
   for_each_replica_block(
       options.num_replicas, kBlockLanes, options.num_threads,
       [&](std::size_t first, std::size_t count) {
         qubo::ReplicaBlockEvaluator eval(adjacency, count);
         std::vector<Rng> rngs;
         rngs.reserve(count);
-        std::vector<std::vector<std::size_t>> accepted(count);
-        AlignedVector<double> deltas(eval.lane_stride(), 0.0);
+        std::vector<std::uint32_t> accepted(count * n);
+        std::vector<std::uint32_t> num_accepted(count);
         std::vector<double> offset(count, 0.0);
         std::vector<double> best_energy(count);
         std::vector<qubo::Bits> best_state(count);
         qubo::Bits x(n);
         for (std::size_t l = 0; l < count; ++l) {
           rngs.emplace_back(derive_seed(options.seed, first + l));
-          accepted[l].reserve(n);
           for (auto& bit : x) bit = rngs[l].bernoulli(0.5) ? 1 : 0;
           eval.set_state(l, x);
           best_energy[l] = eval.energy(l);
@@ -93,27 +94,17 @@ qubo::SolveBatch DigitalAnnealer::solve(const qubo::QuboModel& model,
         for (std::size_t sweep = 0;
              sweep < sweeps && !options.stop.stop_requested(); ++sweep) {
           for (std::size_t step = 0; step < n; ++step) {
-            for (std::size_t l = 0; l < count; ++l) accepted[l].clear();
             // Parallel trial: every variable runs the Metropolis test with
-            // the dynamic offset relaxing the effective delta.  One
-            // vectorised delta read serves the whole block per variable.
-            for (std::size_t i = 0; i < n; ++i) {
-              eval.compute_flip_deltas(i, deltas.data());
-              for (std::size_t l = 0; l < count; ++l) {
-                const double delta = deltas[l] - offset[l];
-                if (delta <= 0.0 ||
-                    rngs[l].uniform() < std::exp(-delta / temperature)) {
-                  accepted[l].push_back(i);
-                }
-              }
-            }
+            // the dynamic offset relaxing the effective delta.
+            eval.trial_scan(offset.data(), temperature, rngs.data(),
+                            accepted.data(), num_accepted.data());
             for (std::size_t l = 0; l < count; ++l) {
-              if (accepted[l].empty()) {
+              if (num_accepted[l] == 0) {
                 offset[l] += offset_step;  // escape pressure grows
                 continue;
               }
-              const std::size_t pick = accepted[l][static_cast<std::size_t>(
-                  rngs[l].uniform_int(accepted[l].size()))];
+              const std::size_t pick = accepted[l * n + rngs[l].uniform_int(
+                                                            num_accepted[l])];
               eval.apply_flip_lane(l, pick);
               offset[l] = 0.0;  // reset after an accepted move
               if (eval.energy(l) < best_energy[l]) {

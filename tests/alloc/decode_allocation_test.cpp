@@ -1,0 +1,151 @@
+// Allocation bounds of the model decoder, measured with a counting global
+// operator new.  This suite is its own binary (qross_alloc_tests) so the
+// replacement allocator stays out of the main suite.
+//
+// The case it guards: a model payload declares its variable count before
+// any term, and QuboModel stores a dense n x n matrix, so a 16-byte payload
+// claiming 8192 variables used to allocate 512 MiB before the decoder read
+// a single term.  Any client could send it in a SubmitJob frame.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "io/binary.hpp"
+#include "io/snapshot.hpp"
+#include "net/protocol.hpp"
+#include "qubo/model.hpp"
+
+namespace {
+
+thread_local bool g_counting = false;
+thread_local std::size_t g_largest = 0;
+thread_local std::size_t g_total = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting) {
+    g_largest = std::max(g_largest, size);
+    g_total += size;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace qross {
+namespace {
+
+/// Counts this thread's operator new calls between construction and stop().
+class AllocationProbe {
+ public:
+  AllocationProbe() {
+    g_largest = 0;
+    g_total = 0;
+    g_counting = true;
+  }
+  ~AllocationProbe() { stop(); }
+  void stop() { g_counting = false; }
+  std::size_t largest() const { return g_largest; }
+  std::size_t total() const { return g_total; }
+};
+
+constexpr std::size_t kKiB = 1024;
+constexpr std::size_t kMiB = 1024 * kKiB;
+
+std::vector<std::uint8_t> model_header(std::uint32_t num_vars,
+                                       std::uint32_t nnz) {
+  io::ByteWriter out;
+  out.u32(num_vars);
+  out.f64(0.0);
+  out.u32(nnz);
+  return out.take();
+}
+
+TEST(DecodeAllocation, SixteenByteModelClaimingMaxVarsIsRefusedUnallocated) {
+  const auto payload = model_header(8192, 0);
+  ASSERT_EQ(payload.size(), 16u);
+  io::ByteReader in(payload);
+  AllocationProbe probe;
+  EXPECT_THROW(io::decode_model(in), io::DecodeError);
+  probe.stop();
+  // Only the error message is allocated — not the 512 MiB matrix.
+  EXPECT_LT(probe.total(), 64 * kKiB);
+}
+
+TEST(DecodeAllocation, SubmitFrameCarryingTheBombIsRefusedUnallocated) {
+  net::SubmitJobFrame submit;
+  submit.solver = "da";
+  submit.model = qubo::QuboModel(0);
+  auto payload = net::encode_submit(submit);
+  // The model is the payload's last 16 bytes but the 8-byte trace id; its
+  // first field is the variable count.
+  const std::size_t num_vars_at = payload.size() - 8 - 16;
+  const std::uint32_t bomb = 8192;
+  for (std::size_t k = 0; k < 4; ++k) {
+    payload[num_vars_at + k] = static_cast<std::uint8_t>(bomb >> (8 * k));
+  }
+  AllocationProbe probe;
+  EXPECT_THROW(net::decode_submit(payload), io::DecodeError);
+  probe.stop();
+  EXPECT_LT(probe.largest(), 64 * kKiB);
+}
+
+TEST(DecodeAllocation, TermCountBeyondThePayloadIsRefusedUnallocated) {
+  // 4096 variables with 1M promised terms but none present: the promise
+  // alone must not buy the 128 MiB matrix.
+  const auto payload = model_header(4096, 1u << 20);
+  io::ByteReader in(payload);
+  AllocationProbe probe;
+  EXPECT_THROW(io::decode_model(in), io::DecodeError);
+  probe.stop();
+  EXPECT_LT(probe.total(), 64 * kKiB);
+}
+
+TEST(DecodeAllocation, MatrixGrowsOnlyWithThePayload) {
+  // At the free size a termless model decodes (8 MiB): the probe sees the
+  // dense matrix, so the bounds above are not vacuous.
+  {
+    const auto payload = model_header(1024, 0);
+    io::ByteReader in(payload);
+    AllocationProbe probe;
+    const auto model = io::decode_model(in);
+    probe.stop();
+    EXPECT_EQ(model.num_vars(), 1024u);
+    EXPECT_GE(probe.largest(), 8 * kMiB);
+  }
+  // Past it, a sparse model decodes once its payload pays for the matrix:
+  // 2048 variables (32 MiB) need 2048 terms, here one per diagonal.
+  qubo::QuboModel sparse(2048);
+  for (std::size_t i = 0; i < 2048; ++i) sparse.add_term(i, i, -1.0);
+  io::ByteWriter out;
+  io::encode_model(out, sparse);
+  {
+    io::ByteReader in(out.bytes());
+    const auto model = io::decode_model(in);
+    EXPECT_EQ(model.num_vars(), 2048u);
+    EXPECT_EQ(model.coefficient(2047, 2047), -1.0);
+  }
+  // Half the terms and the same 2048 variables: refused, unallocated.
+  const auto half = model_header(2048, 1024);
+  std::vector<std::uint8_t> bytes(half);
+  bytes.insert(bytes.end(), out.bytes().begin() + 16,
+               out.bytes().begin() + 16 + 1024 * 16);
+  io::ByteReader in(bytes);
+  AllocationProbe probe;
+  EXPECT_THROW(io::decode_model(in), io::DecodeError);
+  probe.stop();
+  EXPECT_LT(probe.total(), 64 * kKiB);
+}
+
+}  // namespace
+}  // namespace qross

@@ -10,13 +10,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
+#include "golden_fixtures.hpp"
+#include "io/binary.hpp"
+#include "io/snapshot.hpp"
 #include "solvers/delta_scale.hpp"
 #include "problems/mvc/mvc.hpp"
 #include "problems/tsp/formulation.hpp"
@@ -30,6 +38,7 @@
 #include "solvers/parallel_tempering.hpp"
 #include "solvers/simulated_annealer.hpp"
 #include "solvers/solver.hpp"
+#include "surrogate/pipeline.hpp"
 
 namespace qross::qubo {
 namespace {
@@ -238,6 +247,211 @@ TEST(SimdEquivalence, Avx2ArmMatchesScalarArmStepForStep) {
   }
 }
 
+// --- the digital annealer's trial scan, on raw kernel inputs ---------------
+
+/// One trial scan's inputs: fields[i * stride + l] and the packed state
+/// bits give lane l's flip delta of variable i; offsets are per lane.
+struct TrialScanInputs {
+  std::size_t n = 0;
+  std::size_t lanes = 0;
+  std::size_t stride = 0;
+  AlignedVector<double> fields;
+  std::vector<std::uint64_t> state;
+  std::vector<double> offsets;
+  double temperature = 1.0;
+
+  TrialScanInputs(std::size_t num_vars, std::size_t num_lanes)
+      : n(num_vars),
+        lanes(num_lanes),
+        stride((num_lanes + 3) / 4 * 4),
+        fields(num_vars * stride, 0.0),
+        state(num_vars * ((stride + 63) / 64), 0),
+        offsets(num_lanes, 0.0) {}
+  /// Lane l's delta of variable i becomes `delta` (bit clear): exactly
+  /// when the lane's offset is zero, otherwise up to rounding.
+  void set_delta(std::size_t i, std::size_t l, double delta) {
+    fields[i * stride + l] = delta + offsets[l];
+    state[i * ((stride + 63) / 64) + l / 64] &= ~(std::uint64_t{1} << (l % 64));
+  }
+};
+
+struct TrialScanOutputs {
+  std::vector<std::vector<std::uint32_t>> lists;
+  std::vector<std::array<std::uint64_t, 4>> rng_states;
+};
+
+TrialScanOutputs run_trial_scan(const detail::BlockKernel& kernel,
+                                const TrialScanInputs& in,
+                                std::vector<Rng> rngs) {
+  std::vector<std::uint32_t> accepted(in.lanes * in.n, 0xFFFFFFFFu);
+  std::vector<std::uint32_t> counts(in.lanes, 0xFFFFFFFFu);
+  kernel.trial_scan(in.fields.data(), in.state.data(), in.stride,
+                    detail::TrialScan{in.n, in.lanes, in.offsets.data(),
+                                      in.temperature, rngs.data(),
+                                      accepted.data(), counts.data()});
+  TrialScanOutputs out;
+  for (std::size_t l = 0; l < in.lanes; ++l) {
+    EXPECT_LE(counts[l], in.n);
+    out.lists.emplace_back(accepted.begin() + l * in.n,
+                           accepted.begin() + l * in.n + counts[l]);
+    out.rng_states.push_back(rngs[l].state());
+  }
+  return out;
+}
+
+/// Runs the scan on both arms from the same generators and checks that
+/// the accepted lists and the generators' final states agree; returns the
+/// scalar arm's result.
+TrialScanOutputs expect_trial_scan_arms_agree(const TrialScanInputs& in,
+                                              const std::vector<Rng>& rngs) {
+  const TrialScanOutputs scalar =
+      run_trial_scan(detail::scalar_block_kernel(), in, rngs);
+  if (const detail::BlockKernel* avx2 = detail::avx2_block_kernel();
+      avx2 != nullptr && cpu_supports_avx2()) {
+    const TrialScanOutputs vector = run_trial_scan(*avx2, in, rngs);
+    for (std::size_t l = 0; l < in.lanes; ++l) {
+      EXPECT_EQ(vector.lists[l], scalar.lists[l]) << "lane " << l;
+      EXPECT_EQ(vector.rng_states[l], scalar.rng_states[l]) << "lane " << l;
+    }
+  }
+  return scalar;
+}
+
+Rng rng_with_state(const std::array<std::uint64_t, 4>& state) {
+  Rng rng;
+  rng.set_state(state);
+  return rng;
+}
+
+// Each lane's generator advances by exactly one Rng::next() per variable
+// whose delta is not <= 0, whatever the mix of drawing and silent lanes;
+// lane counts cover one group, two groups, padding and three chunks.
+TEST(SimdEquivalence, TrialScanStepsEachGeneratorLikeRngNext) {
+  Rng pick(0x5CA7);
+  for (const std::size_t lanes : {1u, 4u, 5u, 8u, 13u}) {
+    TrialScanInputs in(37, lanes);
+    in.temperature = 2.0;
+    for (auto& offset : in.offsets) offset = pick.uniform(-1.0, 1.0);
+    std::vector<std::size_t> draws(lanes, 0);
+    for (std::size_t i = 0; i < in.n; ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        // Per-lane share of drawing variables varies from ~0 to ~1.
+        const bool drawn = pick.uniform() < static_cast<double>(l + 1) /
+                                                static_cast<double>(lanes + 1);
+        // Offsets are within [-1, 1], so rounding keeps each sign.
+        in.set_delta(i, l, drawn ? pick.uniform(1e-3, 8.0)
+                                 : -pick.uniform(0.0, 8.0));
+        draws[l] += drawn ? 1 : 0;
+      }
+    }
+    std::vector<Rng> rngs;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      rngs.push_back(rng_with_state(
+          {pick.next(), pick.next(), pick.next(), pick.next()}));
+    }
+    SCOPED_TRACE(lanes);
+    const TrialScanOutputs out = expect_trial_scan_arms_agree(in, rngs);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      Rng reference = rngs[l];
+      for (std::size_t d = 0; d < draws[l]; ++d) reference.next();
+      EXPECT_EQ(out.rng_states[l], reference.state()) << "lane " << l;
+    }
+  }
+}
+
+// The filter's edge cases, one lane each, every lane drawing u == 0 first
+// (xoshiro256** from state {1, 0, 0, 0} returns 0): signed zeros accept
+// without a draw, NaN draws and rejects, exponents either side of -37.5
+// accept only because u == 0, and exp(-745) > 0 == exp(-746).
+TEST(SimdEquivalence, TrialScanEdgeCasesMatchScalarArm) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double deltas[] = {0.0, -0.0, nan, 37.4, 37.6, 745.0, 746.0, 1.0};
+  const bool accepted[] = {true, true, false, true, true, true, false, true};
+  const bool draws[] = {false, false, true, true, true, true, true, true};
+  for (const double temperature : {1.0, 0.5}) {
+    TrialScanInputs in(1, 8);
+    in.temperature = temperature;
+    for (std::size_t l = 0; l < 8; ++l) {
+      in.set_delta(0, l, deltas[l] * temperature);
+    }
+    const std::vector<Rng> rngs(8, rng_with_state({1, 0, 0, 0}));
+    const TrialScanOutputs out = expect_trial_scan_arms_agree(in, rngs);
+    for (std::size_t l = 0; l < 8; ++l) {
+      EXPECT_EQ(out.lists[l].size(), accepted[l] ? 1u : 0u) << "lane " << l;
+      Rng reference = rngs[l];
+      if (draws[l]) reference.next();
+      EXPECT_EQ(out.rng_states[l], reference.state()) << "lane " << l;
+    }
+  }
+  // The same exponents with ordinary (nonzero) draws: all but the signed
+  // zeros reject, and -37.4 is decided by the polynomial, not the cut-off.
+  TrialScanInputs in(1, 8);
+  for (std::size_t l = 0; l < 8; ++l) in.set_delta(0, l, deltas[l]);
+  std::vector<Rng> rngs;
+  for (std::size_t l = 0; l < 8; ++l) rngs.emplace_back(0xE0 + l);
+  const TrialScanOutputs out = expect_trial_scan_arms_agree(in, rngs);
+  for (std::size_t l = 0; l < 7; ++l) {
+    EXPECT_EQ(out.lists[l].size(), l < 2 ? 1u : 0u) << "lane " << l;
+  }
+}
+
+// Pairs whose u sits within rounding of exp(-delta / T) land in the
+// filter's band and take the exact expression: delta = -T log(u) for the
+// draw u the lane is about to make, nudged by a few ulps either way.
+TEST(SimdEquivalence, TrialScanBandHitsTakeTheExactExpression) {
+  Rng pick(0xBA4D);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 64; ++round) {
+    TrialScanInputs in(1, 8);
+    in.temperature = pick.uniform(0.01, 10.0);
+    std::vector<Rng> rngs;
+    std::vector<double> u(8);
+    for (std::size_t l = 0; l < 8; ++l) {
+      rngs.emplace_back(pick.next());
+      Rng peek = rngs[l];
+      u[l] = peek.uniform();
+      double delta = -in.temperature * std::log(u[l]);
+      for (int k = static_cast<int>(l % 4) - 2; k != 0; k += k < 0 ? 1 : -1) {
+        delta = std::nextafter(delta, k < 0 ? 0.0 : 1e300);
+      }
+      in.set_delta(0, l, delta);
+    }
+    const TrialScanOutputs out = expect_trial_scan_arms_agree(in, rngs);
+    for (std::size_t l = 0; l < 8; ++l) {
+      const double delta = in.fields[l] - in.offsets[l];
+      const bool expected =
+          delta <= 0.0 || u[l] < std::exp(-delta / in.temperature);
+      EXPECT_EQ(out.lists[l].size(), expected ? 1u : 0u);
+      (expected ? accepted : rejected) += 1;
+    }
+  }
+  // Both outcomes occur, so the band is not decided one way by accident.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// Random deltas across the filter's whole range, signed by random state
+// bits, with random offsets: the arms agree scan after scan.
+TEST(SimdEquivalence, TrialScanRandomInputsMatchScalarArm) {
+  Rng pick(0xF11);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t lanes = 1 + static_cast<std::size_t>(pick.uniform_int(12));
+    TrialScanInputs in(1 + static_cast<std::size_t>(pick.uniform_int(60)),
+                       lanes);
+    in.temperature = std::exp(pick.uniform(-6.0, 4.0));
+    for (auto& offset : in.offsets) offset = pick.uniform(0.0, 2.0);
+    for (auto& field : in.fields) {
+      field = in.temperature * pick.uniform(-5.0, 45.0);
+    }
+    for (auto& word : in.state) word = pick.next();
+    std::vector<Rng> rngs;
+    for (std::size_t l = 0; l < lanes; ++l) rngs.emplace_back(pick.next());
+    SCOPED_TRACE(round);
+    expect_trial_scan_arms_agree(in, rngs);
+  }
+}
+
 TEST(SimdEquivalence, EmptyAndDiagonalOnlyModels) {
   expect_both_arms_match_scalar_reference(QuboModel(0), 1);
   QuboModel diag(5);
@@ -371,18 +585,14 @@ TEST_F(SimdSolverEquivalence, SaAndDaBatchPrefixStableUnderBatchGrowth) {
 
 // The blocked digital annealer is a pure vectorisation: each lane replays
 // the pre-SIMD per-replica kernel's RNG stream draw for draw.  This pins
-// that contract against an in-test transcription of the scalar kernel.
-TEST_F(SimdSolverEquivalence, DaLanesReplayScalarKernelExactly) {
-  const QuboModel model = random_model(20, 31, 0.35);
+// that contract against an in-test transcription of the scalar kernel, on
+// both arms, for a small random model and the end-to-end benchmark's two
+// kernel shapes (solve_fresh: 10-city TSP, 8 x 40; tune_remote probe:
+// 12 cities, 8 x 20).
+SolveBatch replay_da_scalar_kernel(const QuboModel& model,
+                                   const solvers::SolveOptions& options) {
   const SparseAdjacencyPtr adj = SparseAdjacency::build(model);
-  const std::size_t n = 20;
-  solvers::SolveOptions options;
-  options.num_replicas = 5;
-  options.num_sweeps = 15;
-  options.seed = 0xD1517A;
-  const SolveBatch batch = solvers::DigitalAnnealer().solve(model, options);
-
-  // Scalar reference: the pre-SIMD kernel, IncrementalEvaluator and all.
+  const std::size_t n = model.num_vars();
   const solvers::DaParams params;
   Rng probe_rng(derive_seed(options.seed, 0xda0ULL));
   const double typical_delta =
@@ -396,6 +606,7 @@ TEST_F(SimdSolverEquivalence, DaLanesReplayScalarKernelExactly) {
   const double cooling =
       std::pow(t_end / t_start,
                1.0 / static_cast<double>(options.num_sweeps - 1));
+  SolveBatch batch;
   for (std::size_t replica = 0; replica < options.num_replicas; ++replica) {
     Rng rng(derive_seed(options.seed, replica));
     IncrementalEvaluator eval(adj);
@@ -432,8 +643,98 @@ TEST_F(SimdSolverEquivalence, DaLanesReplayScalarKernelExactly) {
       }
       temperature *= cooling;
     }
-    expect_bits_eq(batch.results[replica].qubo_energy, best_energy);
-    EXPECT_EQ(batch.results[replica].assignment, best_state);
+    batch.results.push_back({best_state, best_energy});
+  }
+  return batch;
+}
+
+TEST_F(SimdSolverEquivalence, DaLanesReplayScalarKernelExactly) {
+  struct Case {
+    const char* name;
+    QuboModel model;
+    std::size_t replicas;
+    std::size_t sweeps;
+  };
+  const auto tsp_qubo = [](std::size_t cities, std::uint64_t seed) {
+    return surrogate::PreparedTspInstance(tsp::generate_uniform(cities, seed))
+        .problem()
+        .to_qubo(25.0);
+  };
+  const Case cases[] = {
+      {"random", random_model(20, 31, 0.35), 5, 15},
+      {"solve_fresh", tsp_qubo(10, 0xF5E5), 8, 40},
+      {"tune_probe", tsp_qubo(12, 0x7B0E), 8, 20},
+  };
+  std::vector<SimdKind> arms{SimdKind::kScalar};
+  if (cpu_supports_avx2()) arms.push_back(SimdKind::kAvx2);
+  for (const Case& c : cases) {
+    solvers::SolveOptions options;
+    options.num_replicas = c.replicas;
+    options.num_sweeps = c.sweeps;
+    options.seed = 0xD1517A;
+    const SolveBatch reference = replay_da_scalar_kernel(c.model, options);
+    for (const SimdKind arm : arms) {
+      ScopedSimdKind forced(arm);
+      SCOPED_TRACE(std::string(c.name) + " " + to_string(arm));
+      expect_same_batch(solvers::DigitalAnnealer().solve(c.model, options),
+                        reference);
+    }
+  }
+}
+
+// DA output pinned to committed bytes: the checksum64 of encode_batch() for
+// solves in the end-to-end benchmark's two kernel shapes — the solve_fresh
+// job (10-city TSP at A = 25, 8 replicas x 40 sweeps) and the tune_remote
+// probe (12 cities, 8 x 20, at several A) — written by the per-lane scalar
+// Metropolis scan that preceded the lockstep trial-scan kernel.  Every arm
+// this CPU has must reproduce them, so a kernel change that alters any
+// accept decision or RNG draw fails here even when both arms agree.
+struct DaGoldenShape {
+  const char* name;
+  std::size_t cities;
+  double relaxation;
+  std::size_t sweeps;
+  std::uint64_t instance_seed;
+};
+
+constexpr DaGoldenShape kDaGoldenShapes[] = {
+    {"solve_fresh_0", 10, 25.0, 40, 0x5EED0},
+    {"solve_fresh_1", 10, 25.0, 40, 0x5EED1},
+    {"solve_fresh_2", 10, 25.0, 40, 0x5EED2},
+    {"tune_probe_0", 12, 10.0, 20, 0x7A0},
+    {"tune_probe_1", 12, 25.0, 20, 0x7A1},
+    {"tune_probe_2", 12, 60.0, 20, 0x7A2},
+};
+
+std::string da_golden_digest(const DaGoldenShape& shape) {
+  const surrogate::PreparedTspInstance prepared(
+      tsp::generate_uniform(shape.cities, shape.instance_seed));
+  solvers::SolveOptions options;
+  options.num_replicas = 8;
+  options.num_sweeps = shape.sweeps;
+  options.seed = derive_seed(shape.instance_seed, 1);
+  const SolveBatch batch = solvers::DigitalAnnealer().solve(
+      prepared.problem().to_qubo(shape.relaxation), options);
+  io::ByteWriter out;
+  io::encode_batch(out, batch);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(io::checksum64(out.bytes())));
+  return hex;
+}
+
+TEST_F(SimdSolverEquivalence, DaMatchesGoldenDigestsOnEveryArm) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_da_digests.txt");
+  std::vector<SimdKind> arms{SimdKind::kScalar};
+  if (cpu_supports_avx2()) arms.push_back(SimdKind::kAvx2);
+  for (const SimdKind arm : arms) {
+    ScopedSimdKind forced(arm);
+    for (const auto& shape : kDaGoldenShapes) {
+      SCOPED_TRACE(std::string(to_string(arm)) + " " + shape.name);
+      ASSERT_TRUE(golden.contains(shape.name));
+      EXPECT_EQ(da_golden_digest(shape), golden.at(shape.name));
+    }
   }
 }
 
