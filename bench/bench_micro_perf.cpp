@@ -54,21 +54,8 @@ void report_sparsity(benchmark::State& state, const qubo::QuboModel& model) {
 // with bench_service_json (the machine-readable perf tracker).
 using bench::DenseEvaluator;
 
-void BM_QuboFullEnergy(benchmark::State& state) {
-  const auto model = make_tsp_qubo(static_cast<std::size_t>(state.range(0)));
-  Rng rng(1);
-  qubo::Bits x(model.num_vars());
-  for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.energy(x));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  report_sparsity(state, model);
-}
-BENCHMARK(BM_QuboFullEnergy)->Arg(8)->Arg(12)->Arg(16);
-
-/// Sparse counterpart of BM_QuboFullEnergy — also the cost of the energy
-/// rescore qbsolv runs per replica (formerly a dense model.energy call).
+/// One O(n + nnz) energy evaluation on the CSR adjacency — the cost of the
+/// energy rescore qbsolv and analog_noise run per replica.
 void BM_SparseFullEnergy(benchmark::State& state) {
   const auto model = make_tsp_qubo(static_cast<std::size_t>(state.range(0)));
   const auto adj = qubo::SparseAdjacency::build(model);

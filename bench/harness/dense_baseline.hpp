@@ -19,14 +19,10 @@ class DenseEvaluator {
         weights_(n_ * n_, 0.0),
         x_(n_, 0),
         fields_(n_, 0.0) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      weights_[i * n_ + i] = model.linear(i);
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        const double w = model.coefficient(i, j);
-        weights_[i * n_ + j] = w;
-        weights_[j * n_ + i] = w;
-      }
-    }
+    model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+      weights_[i * n_ + j] = w;
+      weights_[j * n_ + i] = w;
+    });
     set_state(x_);
   }
 

@@ -14,17 +14,16 @@ constexpr std::uint32_t kMaxPayloadBytes = 1u << 28;  // 256 MiB
 // payload runs out of bytes.
 constexpr std::uint32_t kMaxResults = 1u << 24;
 constexpr std::uint32_t kMaxBitsPerResult = 1u << 26;
-// QuboModel stores a dense n x n double matrix, so the variable count IS an
-// allocation commitment (n = 8192 already means 512 MiB).  Anything above
-// this is corruption or abuse — a remote SubmitJob frame must not be able
-// to trigger a multi-gigabyte allocation with a 40-byte payload.
+// A decoded model is O(n + nnz), but its variable count is outside input
+// that commits the receiver to n^2 work: SubmitTune's instance unpacks into
+// an 8·n^2-byte distance matrix (unpack_tsp_instance) and n^2 TSP variables
+// (build_tsp_problem).  A count above this cap is corruption or abuse.
 constexpr std::uint32_t kMaxModelVars = 1u << 13;
-// Below that cap the commitment is bounded by the payload that asks for it:
-// the dense matrix may cost at most kDenseBytesPerPayloadByte bytes per byte
-// of the model's encoding (16 header bytes plus 16 per term), except that a
-// model of up to kFreeModelVars variables (8 MiB) decodes whatever its term
-// count.  A 16-byte payload claiming 8192 variables is refused before the
-// 512 MiB matrix is allocated; a sparse 8192-variable model needs 32k terms.
+// Below that cap the 8·n^2 bytes may be at most kDenseBytesPerPayloadByte
+// per byte of the model's encoding (16 header bytes plus 16 per term),
+// except that a model of up to kFreeModelVars variables (8 MiB) decodes
+// whatever its term count.  A 16-byte payload claiming 8192 variables is
+// refused unallocated; a sparse 8192-variable model needs 32k terms.
 constexpr std::uint64_t kModelHeaderBytes = 16;
 constexpr std::uint64_t kModelTermBytes = 16;
 constexpr std::uint64_t kFreeModelVars = 1024;
@@ -144,18 +143,13 @@ void encode_model(ByteWriter& out, const qubo::QuboModel& model) {
   out.u32(static_cast<std::uint32_t>(model.num_vars()));
   out.f64(model.offset());
   out.u32(static_cast<std::uint32_t>(model.num_nonzeros()));
-  // Canonical order: row-major over the upper triangle, structural nonzeros
-  // only — the same walk fingerprint_model takes, so equal fingerprints
-  // imply equal encodings.
-  for (std::size_t i = 0; i < model.num_vars(); ++i) {
-    for (std::size_t j = i; j < model.num_vars(); ++j) {
-      const double w = model.coefficient(i, j);
-      if (w == 0.0) continue;
-      out.u32(static_cast<std::uint32_t>(i));
-      out.u32(static_cast<std::uint32_t>(j));
-      out.f64(w);
-    }
-  }
+  // QuboModel::for_each_term order, the walk fingerprint_model takes too,
+  // so equal fingerprints imply equal encodings.
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    out.u32(static_cast<std::uint32_t>(i));
+    out.u32(static_cast<std::uint32_t>(j));
+    out.f64(w);
+  });
 }
 
 qubo::QuboModel decode_model(ByteReader& in) {
@@ -165,8 +159,8 @@ qubo::QuboModel decode_model(ByteReader& in) {
   }
   const double offset = in.f64();
   const std::uint32_t nnz = in.u32();
-  // A dense model has at most n(n+1)/2 structural nonzeros; a count beyond
-  // that is corruption, and catching it here stops an allocation bomb.
+  // encode_model writes at most one term per upper-triangular key; a count
+  // beyond that is corruption, and catching it here stops an allocation bomb.
   const std::uint64_t max_nnz =
       static_cast<std::uint64_t>(num_vars) * (num_vars + 1) / 2;
   if (nnz > max_nnz) {
@@ -186,16 +180,18 @@ qubo::QuboModel decode_model(ByteReader& in) {
                       " variables is too large for its " +
                       std::to_string(nnz) + " terms");
   }
-  qubo::QuboModel model(num_vars);
-  model.set_offset(offset);
+  std::vector<qubo::Term> terms;
+  terms.reserve(nnz);
   for (std::uint32_t k = 0; k < nnz; ++k) {
     const std::uint32_t i = in.u32();
     const std::uint32_t j = in.u32();
     if (i >= num_vars || j >= num_vars || j < i) {
       throw DecodeError("model term index out of range");
     }
-    model.add_term(i, j, in.f64());
+    terms.push_back({i, j, in.f64()});
   }
+  qubo::QuboModel model(num_vars, terms);
+  model.set_offset(offset);
   return model;
 }
 

@@ -106,17 +106,20 @@ void encode_batch(ByteWriter& out, const qubo::SolveBatch& batch);
 /// Throws DecodeError on malformed input (callers catch; see header note).
 qubo::SolveBatch decode_batch(ByteReader& in);
 
-/// QuboModel codec: num_vars, offset, then the structurally nonzero
-/// upper-triangular coefficients as (i, j, IEEE-754 bits) triples.  The
-/// encoding is canonical — two models built along different term-insertion
-/// paths to the same coefficients encode byte-identically — so it is safe
-/// to fingerprint or transport.  Used by the network front end's SubmitJob
+/// QuboModel codec: num_vars, offset, nnz, then the model's nonzero
+/// coefficients as (i, j, IEEE-754 bits) triples in QuboModel::for_each_term
+/// order (row-major over the upper triangle).  The encoding is canonical —
+/// two models built along different term-insertion paths to the same
+/// coefficients encode byte-identically — so it is safe to fingerprint or
+/// transport.  Used by the network front end's SubmitJob
 /// frame.
 void encode_model(ByteWriter& out, const qubo::QuboModel& model);
 
 /// Throws DecodeError on malformed input (truncated triples, out-of-range
 /// indices, or an implausible variable count) before allocating the model:
-/// its dense matrix is bounded by the payload's size (see snapshot.cpp).
+/// the n^2 work a variable count commits a receiver to is bounded by the
+/// payload's size (see snapshot.cpp).  Terms may arrive unsorted or
+/// repeated; they accumulate like QuboModel::add_term.
 qubo::QuboModel decode_model(ByteReader& in);
 
 }  // namespace qross::io

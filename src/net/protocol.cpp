@@ -358,13 +358,11 @@ tsp::TspInstance unpack_tsp_instance(const qubo::QuboModel& model,
                                      std::string name) {
   const std::size_t n = model.num_vars();
   std::vector<double> distances(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = model.coefficient(i, j);
-      distances[i * n + j] = d;
-      distances[j * n + i] = d;
-    }
-  }
+  model.for_each_term([&](std::size_t i, std::size_t j, double d) {
+    if (i == j) return;  // a diagonal term carries no distance
+    distances[i * n + j] = d;
+    distances[j * n + i] = d;
+  });
   return {std::move(name), n, std::move(distances)};
 }
 

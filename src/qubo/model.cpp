@@ -8,91 +8,110 @@
 
 namespace qross::qubo {
 
-QuboModel::QuboModel(std::size_t num_vars) : n_(num_vars), q_(n_ * n_, 0.0) {}
+QuboModel::QuboModel(std::size_t num_vars) : rows_(num_vars) {}
+
+QuboModel::QuboModel(std::size_t num_vars, std::span<const Term> terms)
+    : rows_(num_vars) {
+  // Size every row first, so that terms in canonical order (what
+  // encode_model writes) fill the rows with no regrowth.
+  std::vector<std::size_t> row_terms(num_vars, 0);
+  for (const Term& t : terms) {
+    QROSS_REQUIRE(t.i < num_vars && t.j < num_vars,
+                  "QUBO term index out of range");
+    ++row_terms[std::min(t.i, t.j)];
+  }
+  for (std::size_t i = 0; i < num_vars; ++i) rows_[i].reserve(row_terms[i]);
+  for (const Term& t : terms) {
+    std::vector<Entry>& row = rows_[std::min(t.i, t.j)];
+    const std::size_t col = std::max(t.i, t.j);
+    if (!row.empty() && row.back().col >= col) {
+      // Out of order or repeated: accumulate term by term instead.
+      *this = QuboModel(num_vars);
+      for (const Term& u : terms) add_term(u.i, u.j, u.weight);
+      return;
+    }
+    row.push_back({col, 0.0 + t.weight});  // a new key starts at +0.0
+  }
+}
 
 void QuboModel::add_term(std::size_t i, std::size_t j, double weight) {
-  QROSS_REQUIRE(i < n_ && j < n_, "QUBO term index out of range");
+  QROSS_REQUIRE(i < num_vars() && j < num_vars(),
+                "QUBO term index out of range");
   if (i > j) std::swap(i, j);
-  q_[index(i, j)] += weight;
+  std::vector<Entry>& row = rows_[i];
+  // Builders and the decoder mostly append in column order; only an
+  // out-of-order key pays the search and the shift.
+  auto at = row.end();
+  if (!row.empty() && row.back().col >= j) {
+    at = std::partition_point(row.begin(), row.end(),
+                              [j](const Entry& t) { return t.col < j; });
+    if (at->col == j) {
+      at->weight += weight;
+      return;
+    }
+  }
+  row.insert(at, Entry{j, 0.0 + weight});  // a new key starts at +0.0
 }
 
 double QuboModel::coefficient(std::size_t i, std::size_t j) const {
-  QROSS_REQUIRE(i < n_ && j < n_, "QUBO coefficient index out of range");
+  QROSS_REQUIRE(i < num_vars() && j < num_vars(),
+                "QUBO coefficient index out of range");
   if (i > j) std::swap(i, j);
-  return q_[index(i, j)];
-}
-
-double QuboModel::interaction(std::size_t i, std::size_t j) const {
-  if (i == j) return 0.0;
-  return coefficient(i, j);
+  const std::vector<Entry>& row = rows_[i];
+  const auto it = std::partition_point(
+      row.begin(), row.end(), [j](const Entry& t) { return t.col < j; });
+  return it != row.end() && it->col == j ? it->weight : 0.0;
 }
 
 double QuboModel::energy(std::span<const std::uint8_t> x) const {
-  QROSS_REQUIRE(x.size() == n_, "assignment size mismatch");
+  QROSS_REQUIRE(x.size() == num_vars(), "assignment size mismatch");
   double e = offset_;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (x[i] == 0) continue;
-    const double* row = q_.data() + i * n_;
-    e += row[i];
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      if (x[j] != 0) e += row[j];
-    }
-  }
+  for_each_term([&](std::size_t i, std::size_t j, double w) {
+    if (x[i] != 0 && x[j] != 0) e += w;
+  });
   return e;
-}
-
-double QuboModel::flip_delta(std::span<const std::uint8_t> x,
-                             std::size_t i) const {
-  QROSS_REQUIRE(x.size() == n_, "assignment size mismatch");
-  QROSS_REQUIRE(i < n_, "flip index out of range");
-  // Local field: linear term plus interactions with currently-set bits.
-  double field = q_[index(i, i)];
-  for (std::size_t j = 0; j < i; ++j) {
-    if (x[j] != 0) field += q_[index(j, i)];
-  }
-  for (std::size_t j = i + 1; j < n_; ++j) {
-    if (x[j] != 0) field += q_[index(i, j)];
-  }
-  return x[i] == 0 ? field : -field;
 }
 
 double QuboModel::max_abs_coefficient() const {
   double m = 0.0;
-  for (double v : q_) m = std::max(m, std::abs(v));
+  for_each_term([&](std::size_t, std::size_t, double w) {
+    m = std::max(m, std::abs(w));
+  });
   return m;
 }
 
 std::size_t QuboModel::num_nonzeros() const {
   std::size_t nnz = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i; j < n_; ++j) {
-      if (q_[index(i, j)] != 0.0) ++nnz;
-    }
-  }
+  for_each_term([&](std::size_t, std::size_t, double) { ++nnz; });
   return nnz;
 }
 
-void QuboModel::scale(double factor) {
-  for (double& v : q_) v *= factor;
-  offset_ *= factor;
-}
-
 void QuboModel::resize(std::size_t new_num_vars) {
-  QROSS_REQUIRE(new_num_vars >= n_, "resize cannot shrink the model");
-  if (new_num_vars == n_) return;
-  std::vector<double> grown(new_num_vars * new_num_vars, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i; j < n_; ++j) {
-      grown[i * new_num_vars + j] = q_[index(i, j)];
-    }
-  }
-  n_ = new_num_vars;
-  q_ = std::move(grown);
+  QROSS_REQUIRE(new_num_vars >= num_vars(), "resize cannot shrink the model");
+  rows_.resize(new_num_vars);
 }
 
 void QuboModel::add_scaled(const QuboModel& other, double factor) {
-  QROSS_REQUIRE(other.n_ == n_, "QUBO size mismatch in add_scaled");
-  for (std::size_t k = 0; k < q_.size(); ++k) q_[k] += factor * other.q_[k];
+  QROSS_REQUIRE(other.num_vars() == num_vars(),
+                "QUBO size mismatch in add_scaled");
+  // A merge per row: keys of both models get mine + factor * theirs, keys
+  // of `other` alone 0.0 + factor * theirs, as the dense sum did.
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const std::vector<Entry>& theirs = other.rows_[i];
+    if (theirs.empty()) continue;
+    const std::vector<Entry>& mine = rows_[i];
+    std::vector<Entry> merged;
+    merged.reserve(mine.size() + theirs.size());
+    auto kept = mine.begin();
+    for (const Entry& t : theirs) {
+      while (kept != mine.end() && kept->col < t.col) merged.push_back(*kept++);
+      const bool shared = kept != mine.end() && kept->col == t.col;
+      const double base = shared ? (kept++)->weight : 0.0;
+      merged.push_back({t.col, base + factor * t.weight});
+    }
+    merged.insert(merged.end(), kept, mine.end());
+    rows_[i] = std::move(merged);
+  }
   offset_ += factor * other.offset_;
 }
 

@@ -4,11 +4,15 @@
 //
 //   E(x) = offset + sum_i q(i,i) x_i + sum_{i<j} q(i,j) x_i x_j,  x in {0,1}^n
 //
-// Coefficients are stored densely in upper-triangular canonical form: adding
-// a term (i, j, w) with i > j accumulates into (j, i).  The diagonal holds
-// linear terms (x_i^2 == x_i).  A constant offset is carried along so that
-// penalty expansions A*(a^T x - b)^2 keep their absolute energy scale —
-// important because the paper's fitness values are compared across A.
+// Coefficients are stored sparsely in upper-triangular canonical form, one
+// column-sorted (j, q(i,j)) list per row i: O(n + nnz).  Adding a term
+// (i, j, w) with i > j accumulates into (j, i); the diagonal holds linear
+// terms (x_i^2 == x_i).  A constant offset is carried along so that penalty
+// expansions A*(a^T x - b)^2 keep their absolute energy scale — important
+// because the paper's fitness values are compared across A.  for_each_term
+// is the one walk every reader (codec, fingerprint, CSR adjacency) takes,
+// so models with equal coefficients are indistinguishable however their
+// terms were added.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,44 +24,57 @@ namespace qross::qubo {
 /// A candidate solution: one bit per variable.
 using Bits = std::vector<std::uint8_t>;
 
+/// One term as QuboModel::add_term takes it.
+struct Term {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double weight = 0.0;
+};
+
 class QuboModel {
  public:
   QuboModel() = default;
   explicit QuboModel(std::size_t num_vars);
 
-  std::size_t num_vars() const { return n_; }
+  /// The model QuboModel(num_vars) followed by add_term for each of `terms`
+  /// in order builds, bit for bit.  Terms in canonical order (the wire
+  /// decoder's case) fill rows sized up front, in O(n + nnz) with one
+  /// allocation per row instead of a regrowing vector.
+  QuboModel(std::size_t num_vars, std::span<const Term> terms);
+
+  std::size_t num_vars() const { return rows_.size(); }
   double offset() const { return offset_; }
   void set_offset(double offset) { offset_ = offset; }
   void add_offset(double delta) { offset_ += delta; }
 
   /// Accumulates weight onto the (i, j) coefficient (canonicalised to the
-  /// upper triangle; i == j is the linear term).
+  /// upper triangle; i == j is the linear term).  Each key starts at +0.0
+  /// and sums its weights in call order; O(1) amortised for an append to
+  /// the row, O(log deg + deg) otherwise.
   void add_term(std::size_t i, std::size_t j, double weight);
 
-  /// Coefficient in canonical form (i <= j after swap).
+  /// Coefficient in canonical form (i <= j after swap); 0.0 when absent.
   double coefficient(std::size_t i, std::size_t j) const;
 
-  /// Linear (diagonal) coefficient of variable i.
-  double linear(std::size_t i) const { return coefficient(i, i); }
+  /// Calls f(i, j, w) for every coefficient w with i <= j, row-major (i,
+  /// then j, ascending), skipping keys that accumulated to +-0.0.
+  template <typename F>
+  void for_each_term(F&& f) const {
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      for (const Entry& t : rows_[i]) {
+        if (t.weight != 0.0) f(i, t.col, t.weight);
+      }
+    }
+  }
 
-  /// Symmetrised off-diagonal weight: q(i,j) + q(j,i) as stored, i.e. the
-  /// total interaction between i and j.  Zero when i == j.
-  double interaction(std::size_t i, std::size_t j) const;
-
-  /// Full energy evaluation, O(n^2).
+  /// Full energy evaluation, O(nnz), summed in for_each_term order.
   double energy(std::span<const std::uint8_t> x) const;
-
-  /// Energy change from flipping bit i in state x, O(n).
-  double flip_delta(std::span<const std::uint8_t> x, std::size_t i) const;
 
   /// Largest absolute coefficient (used by noise models and scaling).
   double max_abs_coefficient() const;
 
   /// Number of structurally non-zero coefficients.
   std::size_t num_nonzeros() const;
-
-  /// In-place scaling of all coefficients and the offset.
-  void scale(double factor);
 
   /// Grows the variable space to `new_num_vars` (>= current), keeping all
   /// existing coefficients; new variables start with zero terms.  Used by
@@ -68,16 +85,14 @@ class QuboModel {
   /// compose objective + A * penalty without rebuilding either part.
   void add_scaled(const QuboModel& other, double factor);
 
-  /// Raw dense storage (row-major n x n, upper triangular), for solvers that
-  /// precompute their own adjacency.
-  std::span<const double> raw() const { return q_; }
-
  private:
-  std::size_t index(std::size_t i, std::size_t j) const { return i * n_ + j; }
+  struct Entry {
+    std::size_t col;
+    double weight;
+  };
 
-  std::size_t n_ = 0;
   double offset_ = 0.0;
-  std::vector<double> q_;  // dense upper-triangular, row-major
+  std::vector<std::vector<Entry>> rows_;  // row i: columns j >= i, ascending
 };
 
 /// Validates that x has exactly model.num_vars() entries, all 0/1.

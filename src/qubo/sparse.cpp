@@ -1,5 +1,6 @@
 #include "qubo/sparse.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -14,42 +15,30 @@ SparseAdjacency::SparseAdjacency(const QuboModel& model)
       diag_(n_, 0.0) {
   QROSS_REQUIRE(n_ < std::numeric_limits<std::uint32_t>::max(),
                 "model too large for 32-bit adjacency indices");
-  // Scan the dense upper-triangular storage directly rather than going
-  // through coefficient(), which pays a bounds check and canonicalisation
-  // swap per entry — this build runs once per solve call.
-  const std::span<const double> q = model.raw();
-  // Pass 1: degrees and scalar summaries.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = q.data() + i * n_;
-    diag_[i] = row[i];
-    if (diag_[i] != 0.0) ++num_nonzeros_;
-    max_abs_coefficient_ = std::max(max_abs_coefficient_, std::abs(diag_[i]));
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      const double w = row[j];
-      if (w == 0.0) continue;
-      ++num_nonzeros_;
-      max_abs_coefficient_ = std::max(max_abs_coefficient_, std::abs(w));
-      ++row_ptr_[i + 1];
-      ++row_ptr_[j + 1];
-    }
-  }
+  // Two passes of the model's canonical walk: degrees and scalar summaries,
+  // then the rows.  Walking (i, j) row-major keeps every row's columns
+  // sorted ascending without a later sort.
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    ++num_nonzeros_;
+    max_abs_coefficient_ = std::max(max_abs_coefficient_, std::abs(w));
+    if (i == j) return;
+    ++row_ptr_[i + 1];
+    ++row_ptr_[j + 1];
+  });
   for (std::size_t i = 0; i < n_; ++i) row_ptr_[i + 1] += row_ptr_[i];
   cols_.resize(row_ptr_[n_]);
   weights_.resize(row_ptr_[n_]);
-  // Pass 2: fill rows.  Scanning (i, j) with i < j in ascending order keeps
-  // every row's columns sorted ascending without a later sort.
   std::vector<std::size_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = q.data() + i * n_;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      const double w = row[j];
-      if (w == 0.0) continue;
-      cols_[cursor[i]] = static_cast<std::uint32_t>(j);
-      weights_[cursor[i]++] = w;
-      cols_[cursor[j]] = static_cast<std::uint32_t>(i);
-      weights_[cursor[j]++] = w;
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    if (i == j) {
+      diag_[i] = w;
+      return;
     }
-  }
+    cols_[cursor[i]] = static_cast<std::uint32_t>(j);
+    weights_[cursor[i]++] = w;
+    cols_[cursor[j]] = static_cast<std::uint32_t>(i);
+    weights_[cursor[j]++] = w;
+  });
 }
 
 double SparseAdjacency::density() const {

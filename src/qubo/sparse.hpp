@@ -14,10 +14,9 @@
 //
 // The structure is immutable and shared by shared_ptr: one adjacency per
 // solve call, however many replicas / chains / worker threads evaluate on
-// it.  Energies and flip deltas accumulate in the same index order as the
-// dense QuboModel loops, so results agree with QuboModel::energy and
-// QuboModel::flip_delta to the last bit (modulo additions of structural
-// zeros, which cannot change a finite sum).
+// it.  It is built from QuboModel::for_each_term, and energies accumulate
+// in that same row-major order, so energy() agrees with QuboModel::energy
+// to the last bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +30,7 @@ namespace qross::qubo {
 
 class SparseAdjacency {
  public:
-  /// Builds the symmetrised CSR form of `model` (O(n^2) scan, done once per
+  /// Builds the symmetrised CSR form of `model` (O(n + nnz), done once per
   /// solve call).  The adjacency keeps no reference to the model.
   explicit SparseAdjacency(const QuboModel& model);
 

@@ -9,7 +9,7 @@ namespace qross::service {
 namespace {
 
 // Two decorrelated lanes fed by one pass over the input stream — the model
-// scan is O(n^2) and runs on every submit, so it must not run per lane.
+// walk runs on every submit, so it must not run per lane.
 struct DualHash {
   Hash64 hi{1};
   Hash64 lo{2};
@@ -28,19 +28,13 @@ struct DualHash {
 // (i, j) coordinates contribute, so the digest is independent of how the
 // coefficients were accumulated.
 void mix_model(DualHash& h, const qubo::QuboModel& model) {
-  const std::size_t n = model.num_vars();
-  h.mix(static_cast<std::uint64_t>(n));
+  h.mix(static_cast<std::uint64_t>(model.num_vars()));
   h.mix(model.offset());
-  const auto raw = model.raw();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double w = raw[i * n + j];
-      if (w == 0.0) continue;  // structural zero (and -0.0): not part of the key
-      h.mix(static_cast<std::uint64_t>(i));
-      h.mix(static_cast<std::uint64_t>(j));
-      h.mix(w);
-    }
-  }
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    h.mix(static_cast<std::uint64_t>(i));
+    h.mix(static_cast<std::uint64_t>(j));
+    h.mix(w);
+  });
 }
 
 }  // namespace

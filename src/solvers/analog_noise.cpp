@@ -11,17 +11,14 @@ namespace qross::solvers {
 qubo::QuboModel perturb_coefficients(const qubo::QuboModel& model,
                                      double noise_stddev, std::uint64_t seed) {
   QROSS_REQUIRE(noise_stddev >= 0.0, "noise stddev must be non-negative");
-  const std::size_t n = model.num_vars();
-  qubo::QuboModel noisy(n);
+  qubo::QuboModel noisy(model.num_vars());
   noisy.set_offset(model.offset());
   Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double w = model.coefficient(i, j);
-      if (w == 0.0) continue;  // absent couplers carry no analog error
-      noisy.add_term(i, j, w + rng.normal(0.0, noise_stddev));
-    }
-  }
+  // One draw per nonzero, in canonical order; absent couplers carry no
+  // analog error.
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    noisy.add_term(i, j, w + rng.normal(0.0, noise_stddev));
+  });
   return noisy;
 }
 

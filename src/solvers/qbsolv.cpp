@@ -12,42 +12,40 @@
 
 namespace qross::solvers {
 
-qubo::QuboModel clamp_subproblem(const qubo::QuboModel& model,
+qubo::QuboModel clamp_subproblem(const qubo::SparseAdjacency& adjacency,
                                  const std::vector<std::size_t>& subset,
                                  const qubo::Bits& x) {
-  const std::size_t n = model.num_vars();
+  const std::size_t n = adjacency.num_vars();
   QROSS_REQUIRE(x.size() == n, "clamp state size mismatch");
-  std::vector<bool> in_subset(n, false);
-  for (std::size_t v : subset) {
+  // position[v]: v's index in the subset, or n outside it.  `fixed` is x
+  // with the subset's bits cleared.
+  std::vector<std::size_t> position(n, n);
+  qubo::Bits fixed = x;
+  for (std::size_t a = 0; a < subset.size(); ++a) {
+    const std::size_t v = subset[a];
     QROSS_REQUIRE(v < n, "subset variable out of range");
-    QROSS_REQUIRE(!in_subset[v], "duplicate variable in subset");
-    in_subset[v] = true;
+    QROSS_REQUIRE(position[v] == n, "duplicate variable in subset");
+    position[v] = a;
+    fixed[v] = 0;
   }
-
-  qubo::QuboModel sub(subset.size());
 
   // Constant part: fixed-variable energy (subset bits treated as 0).
-  double constant = model.offset();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in_subset[i] || x[i] == 0) continue;
-    constant += model.linear(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!in_subset[j] && x[j] != 0) constant += model.coefficient(i, j);
-    }
-  }
-  sub.set_offset(constant);
+  qubo::QuboModel sub(subset.size());
+  sub.set_offset(adjacency.energy(fixed));
 
-  // Linear terms pick up interactions with the clamped-on variables.
+  // Linear terms pick up interactions with the clamped-on variables, in
+  // ascending-j order; interactions inside the subset become quadratic.
   for (std::size_t a = 0; a < subset.size(); ++a) {
-    const std::size_t i = subset[a];
-    double lin = model.linear(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i && !in_subset[j] && x[j] != 0) lin += model.interaction(i, j);
+    const auto neighbors = adjacency.neighbors(subset[a]);
+    const auto weights = adjacency.weights(subset[a]);
+    double lin = adjacency.diagonal(subset[a]);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      if (fixed[neighbors[k]] != 0) lin += weights[k];
     }
     sub.add_term(a, a, lin);
-    for (std::size_t b = a + 1; b < subset.size(); ++b) {
-      const double w = model.interaction(i, subset[b]);
-      if (w != 0.0) sub.add_term(a, b, w);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const std::size_t b = position[neighbors[k]];
+      if (b < n && b > a) sub.add_term(a, b, weights[k]);
     }
   }
   return sub;
@@ -84,7 +82,7 @@ qubo::SolveBatch Qbsolv::solve(const qubo::QuboModel& model,
         Rng rng(derive_seed(options.seed, replica));
         qubo::Bits x(n);
         for (auto& bit : x) bit = rng.bernoulli(0.5) ? 1 : 0;
-        double energy = adjacency->energy(x);  // O(nnz), not dense O(n^2)
+        double energy = adjacency->energy(x);  // O(n + nnz)
 
         for (std::size_t round = 0;
              round < params_.num_rounds && !options.stop.stop_requested();
@@ -108,7 +106,7 @@ qubo::SolveBatch Qbsolv::solve(const qubo::QuboModel& model,
           auto perm = rng.permutation(n);
           perm.resize(sub_size);
           std::sort(perm.begin(), perm.end());
-          const qubo::QuboModel sub = clamp_subproblem(model, perm, x);
+          const qubo::QuboModel sub = clamp_subproblem(*adjacency, perm, x);
           SolveOptions sub_options;
           sub_options.num_replicas = 1;
           sub_options.num_sweeps = params_.subsolver_sweeps;

@@ -20,6 +20,7 @@
 // experiments (Table 1 rows 5-8, Fig. 5) rely on the two solvers having
 // genuinely different response surfaces.
 
+#include "qubo/sparse.hpp"
 #include "solvers/solver.hpp"
 
 namespace qross::solvers {
@@ -56,8 +57,9 @@ class Qbsolv final : public QuboSolver {
 /// Builds the sub-QUBO induced by clamping all variables outside `subset`
 /// to their values in `x`.  Returns a model over subset.size() variables in
 /// subset order; its energy equals the full model's energy restricted to
-/// assignments agreeing with x outside the subset.  Exposed for testing.
-qubo::QuboModel clamp_subproblem(const qubo::QuboModel& model,
+/// assignments agreeing with x outside the subset.  Runs on the adjacency
+/// the solve already holds, in O(n + nnz).  Exposed for testing.
+qubo::QuboModel clamp_subproblem(const qubo::SparseAdjacency& adjacency,
                                  const std::vector<std::size_t>& subset,
                                  const qubo::Bits& x);
 

@@ -3,9 +3,12 @@
 // replacement allocator stays out of the main suite.
 //
 // The case it guards: a model payload declares its variable count before
-// any term, and QuboModel stores a dense n x n matrix, so a 16-byte payload
-// claiming 8192 variables used to allocate 512 MiB before the decoder read
-// a single term.  Any client could send it in a SubmitJob frame.
+// any term, and that count commits the receiver to n^2-sized work (a
+// SubmitTune instance unpacks into an 8·n^2-byte distance matrix).  When
+// QuboModel was a dense n x n matrix, a 16-byte payload claiming 8192
+// variables allocated 512 MiB before the decoder read a single term.  The
+// model is O(n + nnz) now, but the decoder still refuses a count its
+// payload does not pay for.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +63,6 @@ class AllocationProbe {
 };
 
 constexpr std::size_t kKiB = 1024;
-constexpr std::size_t kMiB = 1024 * kKiB;
 
 std::vector<std::uint8_t> model_header(std::uint32_t num_vars,
                                        std::uint32_t nnz) {
@@ -78,7 +80,7 @@ TEST(DecodeAllocation, SixteenByteModelClaimingMaxVarsIsRefusedUnallocated) {
   AllocationProbe probe;
   EXPECT_THROW(io::decode_model(in), io::DecodeError);
   probe.stop();
-  // Only the error message is allocated — not the 512 MiB matrix.
+  // Only the error message is allocated.
   EXPECT_LT(probe.total(), 64 * kKiB);
 }
 
@@ -102,7 +104,7 @@ TEST(DecodeAllocation, SubmitFrameCarryingTheBombIsRefusedUnallocated) {
 
 TEST(DecodeAllocation, TermCountBeyondThePayloadIsRefusedUnallocated) {
   // 4096 variables with 1M promised terms but none present: the promise
-  // alone must not buy the 128 MiB matrix.
+  // alone must not buy anything.
   const auto payload = model_header(4096, 1u << 20);
   io::ByteReader in(payload);
   AllocationProbe probe;
@@ -112,8 +114,8 @@ TEST(DecodeAllocation, TermCountBeyondThePayloadIsRefusedUnallocated) {
 }
 
 TEST(DecodeAllocation, MatrixGrowsOnlyWithThePayload) {
-  // At the free size a termless model decodes (8 MiB): the probe sees the
-  // dense matrix, so the bounds above are not vacuous.
+  // At the free size a termless model decodes into its empty rows alone,
+  // with no n x n matrix behind them.
   {
     const auto payload = model_header(1024, 0);
     io::ByteReader in(payload);
@@ -121,19 +123,23 @@ TEST(DecodeAllocation, MatrixGrowsOnlyWithThePayload) {
     const auto model = io::decode_model(in);
     probe.stop();
     EXPECT_EQ(model.num_vars(), 1024u);
-    EXPECT_GE(probe.largest(), 8 * kMiB);
+    EXPECT_LT(probe.total(), 64 * kKiB);
   }
-  // Past it, a sparse model decodes once its payload pays for the matrix:
-  // 2048 variables (32 MiB) need 2048 terms, here one per diagonal.
+  // Past it, a sparse model decodes once its payload pays for 8·n^2 bytes:
+  // 2048 variables need 2048 terms, here one per diagonal.  The probe sees
+  // the terms stored, so the bounds above are not vacuous.
   qubo::QuboModel sparse(2048);
   for (std::size_t i = 0; i < 2048; ++i) sparse.add_term(i, i, -1.0);
   io::ByteWriter out;
   io::encode_model(out, sparse);
   {
     io::ByteReader in(out.bytes());
+    AllocationProbe probe;
     const auto model = io::decode_model(in);
+    probe.stop();
     EXPECT_EQ(model.num_vars(), 2048u);
     EXPECT_EQ(model.coefficient(2047, 2047), -1.0);
+    EXPECT_GE(probe.total(), 2048 * 16u);
   }
   // Half the terms and the same 2048 variables: refused, unallocated.
   const auto half = model_header(2048, 1024);

@@ -194,7 +194,8 @@ TEST(QbsolvEdge, SubproblemCoveringWholeModel) {
   model.add_term(0, 1, -2.0);
   model.add_term(2, 3, 1.0);
   qubo::Bits x(4, 1);
-  const auto sub = solvers::clamp_subproblem(model, {0, 1, 2, 3}, x);
+  const auto sub =
+      solvers::clamp_subproblem(qubo::SparseAdjacency(model), {0, 1, 2, 3}, x);
   EXPECT_EQ(sub.num_vars(), 4u);
   EXPECT_DOUBLE_EQ(sub.energy(x), model.energy(x));
 }
@@ -203,7 +204,8 @@ TEST(QbsolvEdge, EmptySubset) {
   qubo::QuboModel model(3);
   model.add_term(0, 0, 5.0);
   qubo::Bits x{1, 0, 1};
-  const auto sub = solvers::clamp_subproblem(model, {}, x);
+  const auto sub =
+      solvers::clamp_subproblem(qubo::SparseAdjacency(model), {}, x);
   EXPECT_EQ(sub.num_vars(), 0u);
   EXPECT_DOUBLE_EQ(sub.offset(), model.energy(x));
 }

@@ -6,6 +6,9 @@
 // one byte at a time; the golden tests in io_test and net_test encode these
 // same inputs with the current codecs and compare byte for byte, so a codec
 // change that alters the wire format or existing cache files fails loudly.
+// fingerprint_models() feeds golden_fingerprints.txt, written by the build
+// that still stored QuboModel as a dense matrix: the cache keys of every
+// persisted journal depend on those digests.
 //
 // Never edit these values: the committed bytes depend on every one of them.
 // Add new fixtures instead, with their own committed bytes.
@@ -18,10 +21,14 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/cache_store.hpp"
 #include "net/protocol.hpp"
+#include "problems/mvc/mvc.hpp"
+#include "problems/tsp/formulation.hpp"
+#include "problems/tsp/generators.hpp"
 #include "qubo/batch.hpp"
 #include "qubo/model.hpp"
 
@@ -39,6 +46,38 @@ inline qubo::QuboModel model() {
   m.add_term(4, 4, -7.0);
   m.add_term(3, 5, 1e-300);
   return m;
+}
+
+/// Named models whose fingerprints are pinned: the model above, a TSP
+/// penalty formulation at two relaxation parameters, an MVC model, and a
+/// model built from out-of-order, repeated and exactly cancelling terms
+/// (0.1 + 0.2 + 0.3 on one key sums to 0.6000000000000001 in call order).
+inline std::vector<std::pair<std::string, qubo::QuboModel>>
+fingerprint_models() {
+  std::vector<std::pair<std::string, qubo::QuboModel>> models;
+  models.emplace_back("golden", model());
+  const auto tsp = tsp::build_tsp_problem(tsp::generate_uniform(8, 0xF1));
+  models.emplace_back("tsp_a10", tsp.to_qubo(10.0));
+  models.emplace_back("tsp_a60", tsp.to_qubo(60.0));
+  models.emplace_back("mvc",
+                      mvc::generate_random_mvc(24, 0.2, 0xF2).to_qubo(2.0));
+  qubo::QuboModel messy(5);
+  messy.set_offset(0.25);
+  messy.add_term(3, 1, 0.1);
+  messy.add_term(0, 4, -2.5);
+  messy.add_term(1, 3, 0.2);
+  messy.add_term(4, 4, 0.1);
+  messy.add_term(2, 2, 1.0);
+  messy.add_term(4, 0, 0.75);
+  messy.add_term(0, 1, 0.5);
+  messy.add_term(4, 4, 0.2);
+  messy.add_term(1, 0, -0.5);
+  messy.add_term(2, 3, 1e-3);
+  messy.add_term(0, 0, 3.0);
+  messy.add_term(2, 2, -1.0);
+  messy.add_term(4, 4, 0.3);
+  models.emplace_back("messy", std::move(messy));
+  return models;
 }
 
 /// Assignments of 6 and 11 bits (a partial trailing byte and a full one

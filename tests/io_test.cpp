@@ -138,6 +138,40 @@ TEST_F(IoTest, FastPathMatchesTheByteLoopAndKeepsBoundsChecks) {
   EXPECT_EQ(reserved.bytes()[1], 9);
 }
 
+// A payload from a non-canonical encoder: terms out of order, one key sent
+// twice and one pair that cancels to exactly 0.0.  It decodes by summing in
+// payload order and re-encodes to the bytes of the model built in order.
+TEST_F(IoTest, UnsortedAndRepeatedModelTermsReencodeCanonically) {
+  ByteWriter messy;
+  messy.u32(4);
+  messy.f64(0.5);
+  messy.u32(5);
+  const auto term = [&](std::uint32_t i, std::uint32_t j, double w) {
+    messy.u32(i);
+    messy.u32(j);
+    messy.f64(w);
+  };
+  term(2, 3, 1.0);
+  term(0, 1, 0.25);
+  term(2, 3, 0.5);
+  term(1, 1, -3.0);
+  term(0, 1, -0.25);
+  ByteReader in(messy.bytes());
+  const qubo::QuboModel decoded = decode_model(in);
+  EXPECT_EQ(in.remaining(), 0u);
+
+  qubo::QuboModel ordered(4);
+  ordered.set_offset(0.5);
+  ordered.add_term(1, 1, -3.0);
+  ordered.add_term(2, 3, 1.0 + 0.5);
+  ByteWriter a;
+  ByteWriter b;
+  encode_model(a, decoded);
+  encode_model(b, ordered);
+  EXPECT_EQ(a.bytes().size(), 16u + 2 * 16u);
+  EXPECT_EQ(a.take(), b.take());
+}
+
 TEST_F(IoTest, BatchRoundTripIsBitIdentical) {
   // Property sweep over batch shapes, including empty batches, empty
   // assignments, and non-multiple-of-8 bit counts (partial final byte).

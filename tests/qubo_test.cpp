@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "io/binary.hpp"
+#include "io/snapshot.hpp"
 #include "qubo/batch.hpp"
 #include "qubo/builder.hpp"
 #include "qubo/incremental.hpp"
 #include "qubo/model.hpp"
+#include "qubo/sparse.hpp"
+#include "service/fingerprint.hpp"
 
 namespace qross::qubo {
 namespace {
@@ -82,26 +89,27 @@ TEST(QuboModel, EnergyMatchesBruteForceOnRandomModels) {
   }
 }
 
-TEST(QuboModel, FlipDeltaMatchesEnergyDifference) {
+TEST(QuboModel, AdjacencyFlipDeltaMatchesEnergyDifference) {
   Rng rng(7);
   const QuboModel model = random_model(10, 4);
+  const SparseAdjacency adjacency(model);
   for (int rep = 0; rep < 50; ++rep) {
     Bits x = random_bits(10, rng);
     const auto i = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{10}));
     const double before = model.energy(x);
-    const double delta = model.flip_delta(x, i);
+    const double delta = adjacency.flip_delta(x, i);
     x[i] ^= 1;
     EXPECT_NEAR(before + delta, model.energy(x), 1e-9);
   }
 }
 
-TEST(QuboModel, ScaleMultipliesEnergy) {
+TEST(QuboModel, AddScaledOntoEmptyModelMultipliesEnergy) {
   Rng rng(5);
-  QuboModel model = random_model(6, 11);
+  const QuboModel model = random_model(6, 11);
   const Bits x = random_bits(6, rng);
-  const double before = model.energy(x);
-  model.scale(2.5);
-  EXPECT_NEAR(model.energy(x), 2.5 * before, 1e-9);
+  QuboModel scaled(6);
+  scaled.add_scaled(model, 2.5);
+  EXPECT_NEAR(scaled.energy(x), 2.5 * model.energy(x), 1e-9);
 }
 
 TEST(QuboModel, AddScaledComposesEnergies) {
@@ -138,6 +146,146 @@ TEST(QuboModel, RejectsOutOfRange) {
   EXPECT_THROW(model.energy(Bits{1, 0}), std::invalid_argument);
 }
 
+// --- canonical form -------------------------------------------------------
+
+using TermList = std::vector<std::tuple<std::size_t, std::size_t, double>>;
+
+/// The model's canonical walk, collected.
+TermList terms_of(const QuboModel& model) {
+  TermList terms;
+  model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+    terms.emplace_back(i, j, w);
+  });
+  return terms;
+}
+
+/// Same keys in the same order, with bit-identical weights.
+void expect_same_terms(const TermList& a, const TermList& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(std::get<0>(a[k]), std::get<0>(b[k]));
+    EXPECT_EQ(std::get<1>(a[k]), std::get<1>(b[k]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<2>(a[k])),
+              std::bit_cast<std::uint64_t>(std::get<2>(b[k])));
+  }
+}
+
+TEST(QuboModel, RepeatedAndOutOfOrderTermsSumInCallOrder) {
+  QuboModel model(4);
+  model.add_term(3, 3, 0.1);
+  model.add_term(2, 1, 0.5);
+  model.add_term(0, 3, 1.0);
+  model.add_term(3, 3, 0.2);
+  model.add_term(0, 0, -1.0);
+  model.add_term(1, 2, 0.25);
+  model.add_term(3, 3, 0.3);
+  model.add_term(3, 0, 1e-17);
+  // Each key sums from +0.0 in call order: (0.1 + 0.2) + 0.3 rounds to
+  // 0.6000000000000001, not to the 0.6 of 0.1 + (0.2 + 0.3), and the tiny
+  // second weight on (0, 3) is absorbed by plain double addition.
+  const double diag = (0.0 + 0.1 + 0.2) + 0.3;
+  ASSERT_NE(diag, 0.1 + (0.2 + 0.3));
+  expect_same_terms(terms_of(model), {{0, 0, -1.0},
+                                      {0, 3, 1.0 + 1e-17},
+                                      {1, 2, 0.75},
+                                      {3, 3, diag}});
+  EXPECT_EQ(model.coefficient(3, 3), diag);
+  EXPECT_EQ(model.coefficient(2, 1), 0.75);
+  EXPECT_EQ(model.coefficient(1, 3), 0.0);
+}
+
+TEST(QuboModel, TermListConstructorMatchesAddTerm) {
+  Rng rng(17);
+  std::vector<Term> canonical;
+  std::vector<Term> shuffled;
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = i; j < 9; ++j) {
+      if (rng.uniform() < 0.5) canonical.push_back({i, j, rng.uniform(-3, 3)});
+    }
+  }
+  // The same keys reversed, one key repeated, one pair given as (j, i).
+  shuffled.assign(canonical.rbegin(), canonical.rend());
+  shuffled.push_back(canonical.front());
+  std::swap(shuffled[2].i, shuffled[2].j);
+  for (const auto* terms : {&canonical, &shuffled}) {
+    QuboModel added(9);
+    for (const Term& t : *terms) added.add_term(t.i, t.j, t.weight);
+    expect_same_terms(terms_of(added), terms_of(QuboModel(9, *terms)));
+  }
+  EXPECT_THROW(QuboModel(3, std::vector<Term>{{0, 3, 1.0}}),
+               std::invalid_argument);
+}
+
+TEST(QuboModel, CancelledKeyIsAbsentFromEveryReader) {
+  QuboModel cancelled(3);
+  cancelled.add_term(0, 2, 1.5);
+  cancelled.add_term(1, 1, 0.1);
+  cancelled.add_term(0, 1, 0.375);
+  cancelled.add_term(2, 0, -1.5);  // (0, 2) cancels to exactly 0.0
+  cancelled.add_term(1, 1, -0.1);  // and so does (1, 1)
+  QuboModel clean(3);
+  clean.add_term(0, 1, 0.375);
+
+  EXPECT_EQ(cancelled.num_nonzeros(), 1u);
+  EXPECT_EQ(terms_of(cancelled), terms_of(clean));
+  EXPECT_EQ(cancelled.max_abs_coefficient(), 0.375);
+  io::ByteWriter a;
+  io::ByteWriter b;
+  io::encode_model(a, cancelled);
+  io::encode_model(b, clean);
+  EXPECT_EQ(a.take(), b.take());
+  EXPECT_EQ(service::fingerprint_model(cancelled),
+            service::fingerprint_model(clean));
+  const SparseAdjacency adjacency(cancelled);
+  EXPECT_EQ(adjacency.num_nonzeros(), 1u);
+  EXPECT_EQ(adjacency.num_interactions(), 1u);
+  EXPECT_EQ(adjacency.degree(2), 0u);
+  EXPECT_EQ(adjacency.diagonal(1), 0.0);
+}
+
+TEST(QuboModel, ResizeAfterTermsKeepsThem) {
+  QuboModel model(3);
+  model.set_offset(2.0);
+  model.add_term(0, 2, -1.25);
+  model.add_term(1, 1, 4.0);
+  const auto before = terms_of(model);
+  model.resize(3);
+  model.resize(6);
+  EXPECT_EQ(model.num_vars(), 6u);
+  EXPECT_EQ(terms_of(model), before);
+  model.add_term(5, 0, 0.5);  // the new variables take terms like any other
+  model.add_term(4, 4, 1.0);
+  EXPECT_EQ(model.coefficient(0, 5), 0.5);
+  EXPECT_EQ(model.energy(Bits{1, 1, 1, 0, 1, 1}), 2.0 - 1.25 + 4.0 + 0.5 + 1.0);
+  EXPECT_THROW(model.resize(5), std::invalid_argument);
+}
+
+TEST(QuboModel, AddScaledMergesRowsKeyByKey) {
+  QuboModel a(3);
+  a.add_term(0, 2, 1.0);
+  a.add_term(1, 1, 0.1);
+  QuboModel b(3);
+  b.set_offset(1.0);
+  b.add_term(0, 1, 2.0);
+  b.add_term(0, 2, -0.5);
+  b.add_term(1, 1, 0.2);
+  b.add_term(2, 2, 3.0);
+  a.add_scaled(b, 2.0);
+  const TermList expected{
+      {0, 1, 0.0 + 2.0 * 2.0},
+      {0, 2, 1.0 + 2.0 * -0.5},
+      {1, 1, 0.1 + 2.0 * 0.2},
+      {2, 2, 0.0 + 2.0 * 3.0}};
+  // (0, 2) cancels to 0.0 and drops out of the walk.
+  auto kept = expected;
+  kept.erase(kept.begin() + 1);
+  EXPECT_EQ(terms_of(a), kept);
+  EXPECT_EQ(a.offset(), 2.0);
+  a.add_scaled(a, 1.0);  // aliasing: every key doubles
+  EXPECT_EQ(a.coefficient(1, 1), 2.0 * (0.1 + 2.0 * 0.2));
+  EXPECT_EQ(a.offset(), 4.0);
+}
+
 TEST(QuboModel, IsValidAssignment) {
   QuboModel model(2);
   EXPECT_TRUE(is_valid_assignment(model, Bits{0, 1}));
@@ -160,7 +308,10 @@ TEST_P(IncrementalParam, RandomFlipSequenceStaysConsistent) {
   for (int step = 0; step < 200; ++step) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(n));
     const double predicted = eval.flip_delta(i);
-    EXPECT_NEAR(predicted, model.flip_delta(eval.state(), i), 1e-9);
+    Bits flipped = eval.state();
+    flipped[i] ^= 1;
+    EXPECT_NEAR(predicted, model.energy(flipped) - model.energy(eval.state()),
+                1e-9);
     eval.apply_flip(i);
     EXPECT_NEAR(eval.energy(), model.energy(eval.state()), 1e-6);
   }

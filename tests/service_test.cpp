@@ -10,6 +10,7 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "counting_solver.hpp"
+#include "golden_fixtures.hpp"
 #include "obs/registry.hpp"
 #include "problems/mvc/mvc.hpp"
 #include "prom_sample.hpp"
@@ -253,6 +255,37 @@ TEST(FingerprintTest, OptionsAndSolverIdentity) {
   const auto da = std::make_shared<solvers::DigitalAnnealer>();
   EXPECT_NE(fingerprint_job(*sa, model, options),
             fingerprint_job(*da, model, options));
+}
+
+// Cache keys pinned to golden_fingerprints.txt, written while QuboModel was
+// a dense matrix.  Every persisted CacheStore journal is keyed by these
+// digests, and warm-start tests cannot notice a changed key because both of
+// their processes run the same build.
+TEST(FingerprintTest, MatchesGoldenFingerprints) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_fingerprints.txt");
+  const auto hex = [](const Fingerprint& fp) {
+    char out[33];
+    std::snprintf(out, sizeof(out), "%016llx%016llx",
+                  static_cast<unsigned long long>(fp.hi),
+                  static_cast<unsigned long long>(fp.lo));
+    return std::string(out);
+  };
+  solvers::SolveOptions options;
+  options.num_replicas = 8;
+  options.num_sweeps = 40;
+  options.seed = 0x5EED;
+  const solvers::DigitalAnnealer da;
+  const solvers::SimulatedAnnealer sa;
+  for (const auto& [name, model] : testing::golden::fingerprint_models()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(golden.contains(name + ".model"));
+    EXPECT_EQ(hex(fingerprint_model(model)), golden.at(name + ".model"));
+    EXPECT_EQ(hex(fingerprint_job(da, model, options)),
+              golden.at(name + ".da"));
+    EXPECT_EQ(hex(fingerprint_job(sa, model, options)),
+              golden.at(name + ".sa"));
+  }
 }
 
 // --- result cache -----------------------------------------------------------

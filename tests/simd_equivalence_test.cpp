@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "golden_fixtures.hpp"
 #include "io/binary.hpp"
 #include "io/snapshot.hpp"
+#include "solvers/analog_noise.hpp"
 #include "solvers/delta_scale.hpp"
 #include "problems/mvc/mvc.hpp"
 #include "problems/tsp/formulation.hpp"
@@ -36,8 +38,10 @@
 #include "qubo/sparse.hpp"
 #include "solvers/digital_annealer.hpp"
 #include "solvers/parallel_tempering.hpp"
+#include "solvers/qbsolv.hpp"
 #include "solvers/simulated_annealer.hpp"
 #include "solvers/solver.hpp"
+#include "solvers/tabu_search.hpp"
 #include "surrogate/pipeline.hpp"
 
 namespace qross::qubo {
@@ -706,15 +710,16 @@ constexpr DaGoldenShape kDaGoldenShapes[] = {
     {"tune_probe_2", 12, 60.0, 20, 0x7A2},
 };
 
-std::string da_golden_digest(const DaGoldenShape& shape) {
+std::string golden_digest(const solvers::QuboSolver& solver,
+                          const DaGoldenShape& shape) {
   const surrogate::PreparedTspInstance prepared(
       tsp::generate_uniform(shape.cities, shape.instance_seed));
   solvers::SolveOptions options;
   options.num_replicas = 8;
   options.num_sweeps = shape.sweeps;
   options.seed = derive_seed(shape.instance_seed, 1);
-  const SolveBatch batch = solvers::DigitalAnnealer().solve(
-      prepared.problem().to_qubo(shape.relaxation), options);
+  const SolveBatch batch =
+      solver.solve(prepared.problem().to_qubo(shape.relaxation), options);
   io::ByteWriter out;
   io::encode_batch(out, batch);
   char hex[17];
@@ -733,7 +738,39 @@ TEST_F(SimdSolverEquivalence, DaMatchesGoldenDigestsOnEveryArm) {
     for (const auto& shape : kDaGoldenShapes) {
       SCOPED_TRACE(std::string(to_string(arm)) + " " + shape.name);
       ASSERT_TRUE(golden.contains(shape.name));
-      EXPECT_EQ(da_golden_digest(shape), golden.at(shape.name));
+      EXPECT_EQ(golden_digest(solvers::DigitalAnnealer(), shape),
+                golden.at(shape.name));
+    }
+  }
+}
+
+// Every other solver family pinned the same way, on the same instances, by
+// golden_solver_digests.txt (written while QuboModel was a dense matrix):
+// it guards the model's canonical walk, the analog-noise draw order and
+// qbsolv's clamped sub-QUBO sums, which none of the arm comparisons see.
+TEST_F(SimdSolverEquivalence, EverySolverMatchesGoldenDigestsOnEveryArm) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_solver_digests.txt");
+  const std::pair<const char*, solvers::SolverPtr> families[] = {
+      {"sa", std::make_shared<solvers::SimulatedAnnealer>()},
+      {"pt", std::make_shared<solvers::ParallelTempering>()},
+      {"tabu", std::make_shared<solvers::TabuSearch>()},
+      {"qbsolv", std::make_shared<solvers::Qbsolv>()},
+      {"analog_noise_da",
+       std::make_shared<solvers::AnalogNoiseSolver>(
+           std::make_shared<solvers::DigitalAnnealer>())},
+  };
+  std::vector<SimdKind> arms{SimdKind::kScalar};
+  if (cpu_supports_avx2()) arms.push_back(SimdKind::kAvx2);
+  for (const SimdKind arm : arms) {
+    ScopedSimdKind forced(arm);
+    for (const auto& [family, solver] : families) {
+      for (const auto& shape : kDaGoldenShapes) {
+        const std::string name = std::string(family) + "." + shape.name;
+        SCOPED_TRACE(std::string(to_string(arm)) + " " + name);
+        ASSERT_TRUE(golden.contains(name));
+        EXPECT_EQ(golden_digest(*solver, shape), golden.at(name));
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "qubo/incremental.hpp"
+#include "qubo/sparse.hpp"
 #include "solvers/analog_noise.hpp"
 #include "solvers/batch_runner.hpp"
 #include "solvers/digital_annealer.hpp"
@@ -20,6 +21,7 @@ namespace {
 
 using qubo::Bits;
 using qubo::QuboModel;
+using qubo::SparseAdjacency;
 
 /// 4-variable model with a unique planted optimum at {1,0,1,0}, energy -21.
 QuboModel planted_model() {
@@ -214,7 +216,7 @@ TEST(Qbsolv, ClampSubproblemEnergyIdentity) {
   const std::vector<std::size_t> subset{1, 3, 6};
   Bits x(8);
   for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-  const QuboModel sub = clamp_subproblem(model, subset, x);
+  const QuboModel sub = clamp_subproblem(SparseAdjacency(model), subset, x);
   // For every assignment of the subset, energies must agree.
   for (std::size_t mask = 0; mask < 8; ++mask) {
     Bits sub_x(3);
@@ -228,10 +230,10 @@ TEST(Qbsolv, ClampSubproblemEnergyIdentity) {
 }
 
 TEST(Qbsolv, ClampRejectsDuplicates) {
-  const QuboModel model(4);
+  const SparseAdjacency adjacency{QuboModel(4)};
   Bits x(4, 0);
-  EXPECT_THROW(clamp_subproblem(model, {1, 1}, x), std::invalid_argument);
-  EXPECT_THROW(clamp_subproblem(model, {9}, x), std::invalid_argument);
+  EXPECT_THROW(clamp_subproblem(adjacency, {1, 1}, x), std::invalid_argument);
+  EXPECT_THROW(clamp_subproblem(adjacency, {9}, x), std::invalid_argument);
 }
 
 TEST(AnalogNoise, ZeroPrecisionIsExact) {
