@@ -180,17 +180,28 @@ qubo::QuboModel decode_model(ByteReader& in) {
                       " variables is too large for its " +
                       std::to_string(nnz) + " terms");
   }
-  std::vector<qubo::Term> terms;
-  terms.reserve(nnz);
+  // Check and count the terms of each row first, so that the rows are sized
+  // once and the add_term pass over encode_model's order never regrows one.
+  ByteReader scan = in;
+  std::vector<std::size_t> row_keys(num_vars, 0);
   for (std::uint32_t k = 0; k < nnz; ++k) {
-    const std::uint32_t i = in.u32();
-    const std::uint32_t j = in.u32();
+    const std::uint32_t i = scan.u32();
+    const std::uint32_t j = scan.u32();
+    scan.f64();
     if (i >= num_vars || j >= num_vars || j < i) {
       throw DecodeError("model term index out of range");
     }
-    terms.push_back({i, j, in.f64()});
+    ++row_keys[i];
   }
-  qubo::QuboModel model(num_vars, terms);
+  qubo::QuboModel model(num_vars);
+  for (std::uint32_t i = 0; i < num_vars; ++i) {
+    model.reserve_row(i, row_keys[i]);
+  }
+  for (std::uint32_t k = 0; k < nnz; ++k) {
+    const std::uint32_t i = in.u32();
+    const std::uint32_t j = in.u32();
+    model.add_term(i, j, in.f64());
+  }
   model.set_offset(offset);
   return model;
 }

@@ -10,30 +10,6 @@ namespace qross::qubo {
 
 QuboModel::QuboModel(std::size_t num_vars) : rows_(num_vars) {}
 
-QuboModel::QuboModel(std::size_t num_vars, std::span<const Term> terms)
-    : rows_(num_vars) {
-  // Size every row first, so that terms in canonical order (what
-  // encode_model writes) fill the rows with no regrowth.
-  std::vector<std::size_t> row_terms(num_vars, 0);
-  for (const Term& t : terms) {
-    QROSS_REQUIRE(t.i < num_vars && t.j < num_vars,
-                  "QUBO term index out of range");
-    ++row_terms[std::min(t.i, t.j)];
-  }
-  for (std::size_t i = 0; i < num_vars; ++i) rows_[i].reserve(row_terms[i]);
-  for (const Term& t : terms) {
-    std::vector<Entry>& row = rows_[std::min(t.i, t.j)];
-    const std::size_t col = std::max(t.i, t.j);
-    if (!row.empty() && row.back().col >= col) {
-      // Out of order or repeated: accumulate term by term instead.
-      *this = QuboModel(num_vars);
-      for (const Term& u : terms) add_term(u.i, u.j, u.weight);
-      return;
-    }
-    row.push_back({col, 0.0 + t.weight});  // a new key starts at +0.0
-  }
-}
-
 void QuboModel::add_term(std::size_t i, std::size_t j, double weight) {
   QROSS_REQUIRE(i < num_vars() && j < num_vars(),
                 "QUBO term index out of range");
@@ -51,6 +27,11 @@ void QuboModel::add_term(std::size_t i, std::size_t j, double weight) {
     }
   }
   row.insert(at, Entry{j, 0.0 + weight});  // a new key starts at +0.0
+}
+
+void QuboModel::reserve_row(std::size_t i, std::size_t keys) {
+  QROSS_REQUIRE(i < num_vars(), "QUBO row index out of range");
+  rows_[i].reserve(rows_[i].size() + keys);
 }
 
 double QuboModel::coefficient(std::size_t i, std::size_t j) const {

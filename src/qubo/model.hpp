@@ -24,23 +24,10 @@ namespace qross::qubo {
 /// A candidate solution: one bit per variable.
 using Bits = std::vector<std::uint8_t>;
 
-/// One term as QuboModel::add_term takes it.
-struct Term {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  double weight = 0.0;
-};
-
 class QuboModel {
  public:
   QuboModel() = default;
   explicit QuboModel(std::size_t num_vars);
-
-  /// The model QuboModel(num_vars) followed by add_term for each of `terms`
-  /// in order builds, bit for bit.  Terms in canonical order (the wire
-  /// decoder's case) fill rows sized up front, in O(n + nnz) with one
-  /// allocation per row instead of a regrowing vector.
-  QuboModel(std::size_t num_vars, std::span<const Term> terms);
 
   std::size_t num_vars() const { return rows_.size(); }
   double offset() const { return offset_; }
@@ -52,6 +39,10 @@ class QuboModel {
   /// and sums its weights in call order; O(1) amortised for an append to
   /// the row, O(log deg + deg) otherwise.
   void add_term(std::size_t i, std::size_t j, double weight);
+
+  /// Makes room for `keys` more keys (i, j >= i) in row i, so that a caller
+  /// who knows the row sizes (the wire decoder) appends with no regrowth.
+  void reserve_row(std::size_t i, std::size_t keys);
 
   /// Coefficient in canonical form (i <= j after swap); 0.0 when absent.
   double coefficient(std::size_t i, std::size_t j) const;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <tuple>
@@ -194,26 +195,36 @@ TEST(QuboModel, RepeatedAndOutOfOrderTermsSumInCallOrder) {
   EXPECT_EQ(model.coefficient(1, 3), 0.0);
 }
 
-TEST(QuboModel, TermListConstructorMatchesAddTerm) {
+TEST(QuboModel, ReserveRowKeepsAddTermResults) {
+  struct Key {
+    std::size_t i, j;
+    double weight;
+  };
   Rng rng(17);
-  std::vector<Term> canonical;
-  std::vector<Term> shuffled;
+  std::vector<Key> canonical;
   for (std::size_t i = 0; i < 9; ++i) {
     for (std::size_t j = i; j < 9; ++j) {
       if (rng.uniform() < 0.5) canonical.push_back({i, j, rng.uniform(-3, 3)});
     }
   }
   // The same keys reversed, one key repeated, one pair given as (j, i).
-  shuffled.assign(canonical.rbegin(), canonical.rend());
+  std::vector<Key> shuffled(canonical.rbegin(), canonical.rend());
   shuffled.push_back(canonical.front());
   std::swap(shuffled[2].i, shuffled[2].j);
-  for (const auto* terms : {&canonical, &shuffled}) {
+  for (const auto* keys : {&canonical, &shuffled}) {
     QuboModel added(9);
-    for (const Term& t : *terms) added.add_term(t.i, t.j, t.weight);
-    expect_same_terms(terms_of(added), terms_of(QuboModel(9, *terms)));
+    QuboModel reserved(9);
+    added.add_term(4, 4, 0.5);
+    reserved.add_term(4, 4, 0.5);  // reserving keeps what a row holds
+    for (const Key& k : *keys) reserved.reserve_row(std::min(k.i, k.j), 1);
+    for (const Key& k : *keys) {
+      added.add_term(k.i, k.j, k.weight);
+      reserved.add_term(k.i, k.j, k.weight);
+    }
+    expect_same_terms(terms_of(added), terms_of(reserved));
   }
-  EXPECT_THROW(QuboModel(3, std::vector<Term>{{0, 3, 1.0}}),
-               std::invalid_argument);
+  QuboModel model(3);
+  EXPECT_THROW(model.reserve_row(3, 1), std::invalid_argument);
 }
 
 TEST(QuboModel, CancelledKeyIsAbsentFromEveryReader) {
