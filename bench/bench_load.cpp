@@ -27,6 +27,10 @@
 // p95 below greedy) is asserted functionally by the loadsmoke CI step.
 // A fresh row with no matching baseline row prints `SKIPPED` and a final
 // summary count — silently ungated coverage is itself a CI smell.
+//
+// Every run, --check or not, exits 1 when a row scores more cache hits
+// than its own hot-set draws can explain (cache_hit_bound): the rows share
+// one service cache, so such a row replayed another row's models.
 
 #include <algorithm>
 #include <cmath>
@@ -62,6 +66,7 @@ constexpr std::size_t kWorkers = 2;
 constexpr std::size_t kCapacityJobs = 24;  // stays under max_queued_per_client
 constexpr std::size_t kJobsPerRow = 500;  // expected arrivals per curve row
 constexpr std::uint64_t kSeed = 0x10AD;
+constexpr double kHitRatio = 0.3;  // share of jobs drawn from the hot set
 
 /// Only rows offered at or below this fraction of measured capacity gate:
 /// they should serve ~everything on any machine, so their ok_ratio is
@@ -79,6 +84,16 @@ struct CurveRow {
   bool deadline_heavy = false;
   load::LoadSummary summary;
 };
+
+/// The most cache hits a row of `jobs` may score.  Hits come only from the
+/// row's own hot-set draws, Binomial(jobs, kHitRatio); the slack is three
+/// standard deviations plus one job.  More means the row replayed models
+/// another row already cached: two rows sharing one seed stream.
+double cache_hit_bound(std::size_t jobs) {
+  const double n = static_cast<double>(jobs);
+  return kHitRatio * n + 3.0 * std::sqrt(n * kHitRatio * (1.0 - kHitRatio)) +
+         1.0;
+}
 
 double client_p95(const load::LoadSummary& summary, const std::string& id) {
   for (const auto& client : summary.clients) {
@@ -139,7 +154,7 @@ CurveRow run_row(const net::Endpoint& endpoint, load::ArrivalKind arrivals,
   workload.rate_per_sec = fraction * capacity;
   workload.duration_sec = std::clamp(
       static_cast<double>(kJobsPerRow) / workload.rate_per_sec, 0.1, 2.0);
-  workload.hit_ratio = 0.3;
+  workload.hit_ratio = kHitRatio;
   workload.hot_models = 16;
   workload.model_vars = kModelVars;
   workload.model_density = kModelDensity;
@@ -165,11 +180,13 @@ CurveRow run_row(const net::Endpoint& endpoint, load::ArrivalKind arrivals,
     polite.deadline_jitter = 0.3;
   }
   workload.clients = {greedy, polite};
-  // Distinct stream per row so curves don't share arrival randomness.
+  // One stream per row, chained over (mix, arrivals, fraction): the rows
+  // share one service cache, so two rows on one stream would replay each
+  // other's models as cache hits.
   workload.seed = derive_seed(
-      kSeed, (deadline_heavy ? 1000 : 0) +
-                 (arrivals == load::ArrivalKind::bursty ? 100 : 0) +
-                 static_cast<std::uint64_t>(fraction * 100.0));
+      derive_seed(derive_seed(kSeed, deadline_heavy ? 1 : 0),
+                  static_cast<std::uint64_t>(arrivals)),
+      static_cast<std::uint64_t>(std::lround(fraction * 100.0)));
 
   const auto schedule = load::generate_schedule(workload);
 
@@ -216,8 +233,8 @@ void write_load_json(const std::string& path, double capacity,
   std::fprintf(f,
                "  \"workload\": \"mvc n=%zu da replicas=%u sweeps=%u, "
                "greedy:polite 4:1 arrivals, polite weight 4 deadline 250ms, "
-               "hit_ratio 0.3\",\n",
-               kModelVars, kReplicas, kSweeps);
+               "hit_ratio %.1f\",\n",
+               kModelVars, kReplicas, kSweeps, kHitRatio);
   std::fprintf(f, "  \"capacity_jobs_per_sec\": %.1f,\n", capacity);
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t k = 0; k < rows.size(); ++k) {
@@ -374,6 +391,23 @@ int main(int argc, char** argv) {
   server.stop();
 
   write_load_json(out_dir + "/BENCH_load.json", capacity, rows);
+
+  int reused = 0;
+  for (const auto& row : rows) {
+    const auto& counts = row.summary.counts;
+    if (static_cast<double>(counts.cache_hits) <=
+        cache_hit_bound(counts.jobs)) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "bench_load: %s %.2fx scored %zu cache hits in %zu jobs, "
+                 "above its bound %.1f: rows share a seed stream\n",
+                 load::to_string(row.arrivals), row.rate_fraction,
+                 counts.cache_hits, counts.jobs,
+                 cache_hit_bound(counts.jobs));
+    ++reused;
+  }
+  if (reused > 0) return 1;
 
   if (!baseline_dir.empty()) {
     const int regressions = check_against_baseline(baseline_dir, rows);

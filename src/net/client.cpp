@@ -96,34 +96,25 @@ bool Client::reconnect_and_resubmit(std::string* error) {
     // solver run, even when the first attempt completed just before the
     // connection died.
     bool resubmitted_all = true;
-    for (const auto& [tag, job] : pending_) {
-      if (!send_submit(tag, job)) {
+    for (auto& [tag, request] : pending_) {
+      if (!send_frame(request.type, request.payload)) {
         resubmitted_all = false;
         break;
       }
-    }
-    if (resubmitted_all) {
-      // Tune sessions too: the dead connection's hangup cancelled them
-      // server-side, so the resubmit starts a REPLACEMENT session — the
-      // warm probe cache makes its replayed prefix free, and the fresh
-      // session streams trials from 0, so the stale progress is dropped.
-      for (const auto& [tag, tune] : tune_pending_) {
-        if (!send_submit_tune(tag, tune)) {
-          resubmitted_all = false;
-          break;
-        }
+      // Freshly in flight: a tag ALSO flagged for a retryable-refusal
+      // resubmit must not be sent a second time — the server would refuse
+      // the duplicate tag as a bad request and fail a request that is
+      // actually running.
+      request.retry_wanted = false;
+      if (request.type == io::kRecordNetSubmitTune) {
+        // The dead connection's hangup cancelled the session server-side,
+        // so the resubmit starts a REPLACEMENT session — the warm probe
+        // cache makes its replayed prefix free, and the fresh session
+        // streams trials from 0, so the stale progress is dropped.
         tune_updates_[tag].clear();
       }
     }
-    if (resubmitted_all) {
-      // Every pending tag is freshly in flight: a tag ALSO flagged for a
-      // retryable-refusal resubmit must not be sent a second time — the
-      // server would refuse the duplicate tag as a bad request and fail a
-      // job that is actually running.
-      retry_wanted_.clear();
-      tune_retry_wanted_.clear();
-      return true;
-    }
+    if (resubmitted_all) return true;
   }
   if (error != nullptr && error->empty()) {
     *error = "reconnect attempts exhausted";
@@ -131,69 +122,33 @@ bool Client::reconnect_and_resubmit(std::string* error) {
   return false;
 }
 
-bool Client::send_submit(std::uint64_t tag, const RemoteJob& job) {
-  SubmitJobFrame submit;
-  submit.tag = tag;
-  submit.solver = job.solver;
-  submit.num_replicas = job.num_replicas;
-  submit.num_sweeps = job.num_sweeps;
-  submit.seed = job.seed;
-  submit.priority = job.priority;
-  submit.deadline_ms = job.deadline_ms;
-  submit.bypass_cache = job.bypass_cache;
-  submit.stream_status = job.stream_status;
-  submit.model = job.model;
-  submit.trace_id = job.trace_id;
-  return send_frame(io::kRecordNetSubmitJob, encode_submit(submit));
-}
-
-bool Client::send_submit_tune(std::uint64_t tag, const RemoteTune& tune) {
-  SubmitTuneFrame submit;
-  submit.tag = tag;
-  submit.solver = tune.solver;
-  submit.strategy = tune.strategy;
-  submit.pf_target = tune.pf_target;
-  submit.trials = tune.trials;
-  submit.a_min = tune.a_min;
-  submit.a_max = tune.a_max;
-  submit.seed = tune.seed;
-  submit.instance = tune.instance;
-  submit.trace_id = tune.trace_id;
-  submit.instance_name = tune.instance_name;
-  return send_frame(io::kRecordNetSubmitTune, encode_submit_tune(submit));
-}
-
-RemoteOutcome<std::uint64_t> Client::submit_job(const RemoteJob& job) {
+RemoteOutcome<std::uint64_t> Client::submit(std::uint32_t type,
+                                            std::vector<std::uint8_t> payload) {
   const std::uint64_t tag = next_tag_++;
-  pending_[tag] = job;
-  if (!send_submit(tag, job)) {
+  // Both submit payloads lead with the tag, little-endian like every wire
+  // integer: the caller's own `tag` field is overwritten here.
+  for (std::size_t k = 0; k < 8; ++k) {
+    payload[k] = static_cast<std::uint8_t>(tag >> (8 * k));
+  }
+  const Request& request =
+      pending_.emplace(tag, Request{type, std::move(payload)}).first->second;
+  if (!send_frame(type, request.payload)) {
     // The reconnect path resubmits `tag` itself (it is already pending).
     std::string error;
     if (!reconnect_and_resubmit(&error)) {
       pending_.erase(tag);
-      RemoteError remote;
-      remote.kind = RemoteErrorKind::connection;
-      remote.message = error;
-      return remote;
+      return RemoteError{RemoteErrorKind::connection, kErrUnknown, error};
     }
   }
   return tag;
 }
 
+RemoteOutcome<std::uint64_t> Client::submit_job(const RemoteJob& job) {
+  return submit(io::kRecordNetSubmitJob, encode_submit(job));
+}
+
 RemoteOutcome<std::uint64_t> Client::submit_tune(const RemoteTune& tune) {
-  const std::uint64_t tag = next_tag_++;
-  tune_pending_[tag] = tune;
-  if (!send_submit_tune(tag, tune)) {
-    std::string error;
-    if (!reconnect_and_resubmit(&error)) {
-      tune_pending_.erase(tag);
-      RemoteError remote;
-      remote.kind = RemoteErrorKind::connection;
-      remote.message = error;
-      return remote;
-    }
-  }
-  return tag;
+  return submit(io::kRecordNetSubmitTune, encode_submit_tune(tune));
 }
 
 void Client::handle_incoming(const Frame& f) {
@@ -203,8 +158,6 @@ void Client::handle_incoming(const Frame& f) {
         auto result = decode_result(f.payload);
         const auto tag = result.tag;
         pending_.erase(tag);
-        retry_wanted_.erase(tag);
-        retry_attempts_.erase(tag);
         results_.emplace(tag, std::move(result));
         return;
       }
@@ -221,9 +174,7 @@ void Client::handle_incoming(const Frame& f) {
       case io::kRecordNetTuneResult: {
         auto result = decode_tune_result(f.payload);
         const auto tag = result.tag;
-        tune_pending_.erase(tag);
-        tune_retry_wanted_.erase(tag);
-        retry_attempts_.erase(tag);
+        pending_.erase(tag);
         tune_results_.emplace(tag, std::move(result));
         return;
       }
@@ -238,48 +189,38 @@ void Client::handle_incoming(const Frame& f) {
         return;
       case io::kRecordNetError: {
         auto error = decode_error(f.payload);
-        if (error.tag != 0 && pending_.contains(error.tag)) {
+        const auto it =
+            error.tag == 0 ? pending_.end() : pending_.find(error.tag);
+        if (it != pending_.end()) {
           if (is_retryable_error(error.code)) {
             // Transient server state (draining / full): keep the request
-            // pending; wait_result() backs off and resubmits it.
-            retry_wanted_.insert(error.tag);
+            // pending; the wait loop backs off and resubmits it.
+            it->second.retry_wanted = true;
           } else {
-            // Permanent refusal.  Known edge: a reconnect's resubmits can
-            // race the server noticing the dead predecessor connection
-            // (whose hangup is what frees this client's inflight quota), so
-            // a quota refusal here may be transient in that narrow window.
-            // The taxonomy still wins — retrying quota errors in general
-            // rewards exactly the flooding the quota exists to stop.
-            // A permanent refusal (quota, bad request, unknown solver)
-            // completes the request as failed, so wait_result() observes it
-            // instead of timing out — and never resubmits it.
-            ResultFrame result;
-            result.tag = error.tag;
-            result.status = service::JobStatus::failed;
-            result.error = "server error " + std::to_string(error.code) +
-                           ": " + error.message;
-            pending_.erase(error.tag);
-            retry_wanted_.erase(error.tag);
-            retry_attempts_.erase(error.tag);
-            results_.emplace(error.tag, std::move(result));
-          }
-        } else if (error.tag != 0 && tune_pending_.contains(error.tag)) {
-          if (is_retryable_error(error.code)) {
-            // Draining or at the session quota: tune_wait() backs off and
-            // resubmits, exactly like a refused job.
-            tune_retry_wanted_.insert(error.tag);
-          } else {
-            // Permanent refusal (no tuner loaded, unknown solver, bad
-            // instance): surfaces as a typed error from tune_wait().
-            RemoteError remote;
-            remote.kind = RemoteErrorKind::refused;
-            remote.code = error.code;
-            remote.message = "server error " + std::to_string(error.code) +
-                             ": " + error.message;
-            tune_pending_.erase(error.tag);
-            tune_retry_wanted_.erase(error.tag);
-            retry_attempts_.erase(error.tag);
-            tune_failures_.emplace(error.tag, std::move(remote));
+            // Permanent refusal (quota, bad request, unknown solver, no
+            // tuner).  Known edge: a reconnect's resubmits can race the
+            // server noticing the dead predecessor connection (whose hangup
+            // is what frees this client's inflight quota), so a quota
+            // refusal here may be transient in that narrow window.  The
+            // taxonomy still wins — retrying quota errors in general
+            // rewards exactly the flooding the quota exists to stop.  The
+            // request completes as failed, so its wait observes it instead
+            // of timing out — and never resubmits it.
+            std::string message = "server error " +
+                                  std::to_string(error.code) + ": " +
+                                  error.message;
+            if (it->second.type == io::kRecordNetSubmitJob) {
+              ResultFrame result;
+              result.tag = error.tag;
+              result.status = service::JobStatus::failed;
+              result.error = std::move(message);
+              results_.emplace(error.tag, std::move(result));
+            } else {
+              tune_failures_.emplace(
+                  error.tag, RemoteError{RemoteErrorKind::refused, error.code,
+                                         std::move(message)});
+            }
+            pending_.erase(it);
           }
         }
         errors_.push_back(std::move(error));
@@ -302,10 +243,6 @@ bool Client::pump(std::uint32_t stop_type, std::uint64_t stop_tag,
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(
                          timeout_ms < 0 ? 24 * 3600 * 1000 : timeout_ms);
-  // Result-shaped stop types are scoped to one tag (the first payload field
-  // of both Result and TuneResult); everything else stops on the type alone.
-  const bool tag_scoped = stop_type == io::kRecordNetResult ||
-                          stop_type == io::kRecordNetTuneResult;
   std::uint8_t buf[65536];
   while (true) {
     // Check the stop condition against everything already buffered first.
@@ -318,25 +255,16 @@ bool Client::pump(std::uint32_t stop_type, std::uint64_t stop_tag,
         sock_.close();
         return false;
       }
-      const bool is_stop =
-          f.type == stop_type &&
-          (!tag_scoped || (f.payload.size() >= 8 &&
-                           io::ByteReader(f.payload).u64() == stop_tag));
       handle_incoming(f);
-      if (is_stop) return true;
-      // A request-killing Error frame also satisfies a Result wait, and so
-      // does a retryable refusal (wait_result() owns the backoff + resubmit).
-      if (stop_type == io::kRecordNetResult &&
-          (results_.contains(stop_tag) || retry_wanted_.contains(stop_tag))) {
-        return true;
+      if (stop_tag != 0) {
+        // The request is terminal (result, or a refusal that killed it),
+        // or the wait loop owns a backoff + resubmit.
+        const auto it = pending_.find(stop_tag);
+        if (it == pending_.end() || it->second.retry_wanted) return true;
+        continue;
       }
-      if (stop_type == io::kRecordNetTuneResult &&
-          (tune_results_.contains(stop_tag) ||
-           tune_failures_.contains(stop_tag) ||
-           tune_retry_wanted_.contains(stop_tag))) {
-        return true;
-      }
-      if (f.type == io::kRecordNetError && !tag_scoped) {
+      if (f.type == stop_type) return true;
+      if (f.type == io::kRecordNetError) {
         // Waiting for an ack/metrics and got an error instead: surface it.
         if (error != nullptr && !errors_.empty()) {
           *error = "server error " + std::to_string(errors_.back().code) +
@@ -366,164 +294,93 @@ bool Client::pump(std::uint32_t stop_type, std::uint64_t stop_tag,
   }
 }
 
-RemoteOutcome<ResultFrame> Client::wait_result(std::uint64_t tag) {
-  const auto finish_with = [&](RemoteErrorKind kind, std::string message) {
+namespace {
+
+RemoteError unknown_tag() {
+  return RemoteError{RemoteErrorKind::usage, kErrUnknown,
+                     "unknown tag: never submitted or already waited"};
+}
+
+}  // namespace
+
+std::optional<RemoteError> Client::await(std::uint64_t tag,
+                                         std::uint32_t type) {
+  const auto fail = [&](RemoteErrorKind kind, std::string message) {
     pending_.erase(tag);
-    retry_wanted_.erase(tag);
-    retry_attempts_.erase(tag);
-    RemoteError error;
-    error.kind = kind;
-    error.message = std::move(message);
-    return error;
+    return RemoteError{kind, kErrUnknown, std::move(message)};
   };
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
   while (true) {
-    const auto it = results_.find(tag);
-    if (it != results_.end()) {
-      ResultFrame result = std::move(it->second);
-      results_.erase(it);
-      retry_wanted_.erase(tag);
-      retry_attempts_.erase(tag);
-      return result;
-    }
-    if (!pending_.contains(tag)) {
-      return finish_with(RemoteErrorKind::usage,
-                         "unknown tag: never submitted or already waited");
-    }
-    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
+    const auto it = pending_.find(tag);
+    if (it == pending_.end()) return std::nullopt;
+    if (it->second.type != type) return unknown_tag();
+    Request& request = it->second;
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                              Clock::now());
     if (remaining.count() <= 0) {
-      return finish_with(RemoteErrorKind::timeout, "request timed out");
+      return fail(RemoteErrorKind::timeout, "request timed out");
     }
-    if (retry_wanted_.erase(tag) > 0) {
+    if (request.retry_wanted) {
       // The server refused this tag with a RETRYABLE code (draining /
-      // full): back off, then resubmit the identical job under its
-      // original tag — idempotent server-side via cache/coalescing.
-      const int attempt = ++retry_attempts_[tag];
+      // full): back off, then resend the stored request under its original
+      // tag — idempotent server-side via cache/coalescing, and a refused
+      // session never started, so its resubmit opens the SAME session.
+      request.retry_wanted = false;
+      const int attempt = ++request.attempts;
       if (attempt > config_.reconnect_attempts) {
-        retry_attempts_.erase(tag);
-        return finish_with(
-            RemoteErrorKind::refused,
-            "server refused " + std::to_string(attempt - 1) +
-                " resubmits (busy or draining); giving up");
+        return fail(RemoteErrorKind::refused,
+                    "server refused " + std::to_string(attempt - 1) +
+                        " resubmits (busy or draining); giving up");
       }
       const auto backoff =
           std::chrono::milliseconds(config_.reconnect_backoff_ms * attempt);
       if (backoff >= remaining) {
         // No budget left to wait out the refusal — and resubmitting now
-        // would orphan a job on the server that nobody will collect.
-        return finish_with(RemoteErrorKind::timeout, "request timed out");
+        // would orphan a request on the server that nobody will collect.
+        return fail(RemoteErrorKind::timeout, "request timed out");
       }
       if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-      if (!send_submit(tag, pending_.at(tag))) {
+      if (!send_frame(request.type, request.payload)) {
         std::string reconnect_error;
         if (!reconnect_and_resubmit(&reconnect_error)) {
-          return finish_with(RemoteErrorKind::connection,
-                             "connection lost: " + reconnect_error);
+          return fail(RemoteErrorKind::connection,
+                      "connection lost: " + reconnect_error);
         }
       }
       continue;
     }
-    remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) {
-      return finish_with(RemoteErrorKind::timeout, "request timed out");
-    }
     std::string error;
-    if (!pump(io::kRecordNetResult, tag,
-              static_cast<int>(remaining.count()), &error)) {
+    if (!pump(0, tag, static_cast<int>(remaining.count()), &error)) {
       if (error == "request timed out") {
-        return finish_with(RemoteErrorKind::timeout, error);
+        return fail(RemoteErrorKind::timeout, error);
       }
-      // Connection lost mid-wait: redial and resubmit the outstanding jobs,
-      // then keep waiting out the remaining budget.
+      // Connection lost mid-wait: redial and resubmit the outstanding
+      // requests, then keep waiting out the remaining budget.
       if (!reconnect_and_resubmit(&error)) {
-        return finish_with(RemoteErrorKind::connection,
-                           "connection lost: " + error);
+        return fail(RemoteErrorKind::connection, "connection lost: " + error);
       }
     }
   }
 }
 
-RemoteOutcome<TuneResultFrame> Client::tune_wait(std::uint64_t tag) {
-  const auto finish_with = [&](RemoteErrorKind kind, std::string message) {
-    tune_pending_.erase(tag);
-    tune_retry_wanted_.erase(tag);
-    retry_attempts_.erase(tag);
-    RemoteError error;
-    error.kind = kind;
-    error.message = std::move(message);
-    return error;
-  };
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
-  while (true) {
-    if (const auto it = tune_results_.find(tag); it != tune_results_.end()) {
-      TuneResultFrame result = std::move(it->second);
-      tune_results_.erase(it);
-      retry_attempts_.erase(tag);
-      return result;
-    }
-    if (const auto it = tune_failures_.find(tag); it != tune_failures_.end()) {
-      RemoteError error = std::move(it->second);
-      tune_failures_.erase(it);
-      retry_attempts_.erase(tag);
-      return error;
-    }
-    if (!tune_pending_.contains(tag)) {
-      return finish_with(RemoteErrorKind::usage,
-                         "unknown tag: never submitted or already waited");
-    }
-    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) {
-      return finish_with(RemoteErrorKind::timeout, "request timed out");
-    }
-    if (tune_retry_wanted_.erase(tag) > 0) {
-      // Refused with a retryable code (draining / session quota): back off
-      // and resubmit.  Nothing started server-side, so the resubmit opens
-      // the SAME session the refusal denied, not a duplicate.
-      const int attempt = ++retry_attempts_[tag];
-      if (attempt > config_.reconnect_attempts) {
-        retry_attempts_.erase(tag);
-        return finish_with(
-            RemoteErrorKind::refused,
-            "server refused " + std::to_string(attempt - 1) +
-                " resubmits (busy or draining); giving up");
-      }
-      const auto backoff =
-          std::chrono::milliseconds(config_.reconnect_backoff_ms * attempt);
-      if (backoff >= remaining) {
-        return finish_with(RemoteErrorKind::timeout, "request timed out");
-      }
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-      if (!send_submit_tune(tag, tune_pending_.at(tag))) {
-        std::string reconnect_error;
-        if (!reconnect_and_resubmit(&reconnect_error)) {
-          return finish_with(RemoteErrorKind::connection,
-                             "connection lost: " + reconnect_error);
-        }
-      }
-      continue;
-    }
-    remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) {
-      return finish_with(RemoteErrorKind::timeout, "request timed out");
-    }
-    std::string error;
-    if (!pump(io::kRecordNetTuneResult, tag,
-              static_cast<int>(remaining.count()), &error)) {
-      if (error == "request timed out") {
-        return finish_with(RemoteErrorKind::timeout, error);
-      }
-      if (!reconnect_and_resubmit(&error)) {
-        return finish_with(RemoteErrorKind::connection,
-                           "connection lost: " + error);
-      }
-    }
+RemoteOutcome<ResultFrame> Client::wait_result(std::uint64_t tag) {
+  if (auto failed = await(tag, io::kRecordNetSubmitJob)) {
+    return std::move(*failed);
   }
+  auto node = results_.extract(tag);
+  if (node.empty()) return unknown_tag();
+  return std::move(node.mapped());
+}
+
+RemoteOutcome<TuneResultFrame> Client::tune_wait(std::uint64_t tag) {
+  if (auto failed = await(tag, io::kRecordNetSubmitTune)) {
+    return std::move(*failed);
+  }
+  if (auto node = tune_results_.extract(tag)) return std::move(node.mapped());
+  if (auto node = tune_failures_.extract(tag)) return std::move(node.mapped());
+  return unknown_tag();
 }
 
 std::vector<TuneStatusFrame> Client::tune_status(std::uint64_t tag) const {
@@ -706,11 +563,7 @@ bool Client::poll(int timeout_ms, std::string* error) {
 std::vector<ResultFrame> Client::take_ready_results() {
   std::vector<ResultFrame> drained;
   drained.reserve(results_.size());
-  for (auto& [tag, result] : results_) {
-    retry_wanted_.erase(tag);
-    retry_attempts_.erase(tag);
-    drained.push_back(std::move(result));
-  }
+  for (auto& [tag, result] : results_) drained.push_back(std::move(result));
   results_.clear();
   return drained;
 }
@@ -719,8 +572,6 @@ void Client::forget(std::uint64_t tag) {
   pending_.erase(tag);
   results_.erase(tag);
   updates_.erase(tag);
-  retry_wanted_.erase(tag);
-  retry_attempts_.erase(tag);
 }
 
 }  // namespace qross::net

@@ -2,10 +2,14 @@
 
 // Blocking client for the QROSS network protocol.
 //
-// One connection multiplexes many in-flight jobs by tag: submit_job()
-// assigns a tag and sends the frame, wait_result(tag) blocks until that
-// tag's Result frame arrives (buffering results for other tags it reads
-// along the way).
+// One connection multiplexes many in-flight requests by tag: submit_job()
+// and submit_tune() assign a tag, encode the request once and send it;
+// wait_result(tag) / tune_wait(tag) block until that tag's terminal frame
+// arrives (buffering frames for other tags they read along the way).
+//
+// Every in-flight request, job or tune session, is one entry of a single
+// ledger: its frame type and encoded payload.  A resubmit (after a
+// reconnect or a retryable refusal) resends those stored bytes verbatim.
 //
 // Resilience:
 //   * reconnect — a send/recv failure triggers up to reconnect_attempts
@@ -14,15 +18,14 @@
 //     the serving side: equal fingerprints coalesce or hit the result
 //     cache, so a retried job never pays a second solver run;
 //   * error triage — a RETRYABLE server refusal (kErrDraining,
-//     kErrServerFull: transient server state) keeps the job pending;
-//     wait_result() backs off and resubmits it up to reconnect_attempts
-//     times within the request timeout.  A PERMANENT refusal
-//     (kErrQuotaExceeded, kErrBadRequest, kErrUnknownSolver, ...) fails the
-//     job on the first Error frame — resubmitting an unacceptable request
-//     verbatim can never succeed and only hammers the server;
-//   * request timeout — wait_result() gives up after request_timeout_ms
-//     with a timeout RemoteError, leaving the connection usable for other
-//     tags.
+//     kErrServerFull: transient server state) keeps the request pending;
+//     the wait backs off and resubmits it up to reconnect_attempts times
+//     within the request timeout.  A PERMANENT refusal (kErrQuotaExceeded,
+//     kErrBadRequest, kErrUnknownSolver, ...) fails the request on the
+//     first Error frame — resubmitting an unacceptable request verbatim can
+//     never succeed and only hammers the server;
+//   * request timeout — a wait gives up after request_timeout_ms with a
+//     timeout RemoteError, leaving the connection usable for other tags.
 //
 // Not thread-safe: one Client per thread (the protocol itself supports any
 // number of concurrent Clients per server).
@@ -37,14 +40,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
-#include "qubo/model.hpp"
 
 namespace qross::net {
 
@@ -61,38 +62,14 @@ struct ClientConfig {
   int reconnect_backoff_ms = 100;
 };
 
-/// One job as the client submits it (the wire form of a SubmitJob frame,
-/// minus the tag, which the client assigns).
-struct RemoteJob {
-  std::string solver = "da";
-  qubo::QuboModel model;
-  std::uint32_t num_replicas = 32;
-  std::uint32_t num_sweeps = 100;
-  std::uint64_t seed = 1;
-  std::int32_t priority = 0;
-  std::uint32_t deadline_ms = 0;  ///< relative; 0 = none
-  bool bypass_cache = false;
-  bool stream_status = false;
-  /// Trace correlation id stamped on the server's spans for this job
-  /// (0 = none).  Fetch the stitched trace with fetch_trace().
-  std::uint64_t trace_id = 0;
-};
+/// One job as the client submits it: the SubmitJob frame itself.
+/// submit_job() encodes it as given and writes its own tag over the
+/// payload's leading `tag` field.
+using RemoteJob = SubmitJobFrame;
 
-/// One tune session as the client requests it (the wire form of a
-/// SubmitTune frame, minus the tag).  Pack the instance with
-/// pack_tsp_instance().
-struct RemoteTune {
-  std::string solver = "da";
-  qubo::QuboModel instance;
-  std::uint8_t strategy = kTuneComposed;
-  double pf_target = 0.8;  ///< used when strategy == kTunePbs
-  std::uint32_t trials = 10;
-  double a_min = 1.0;
-  double a_max = 100.0;
-  std::uint64_t seed = 1;
-  std::uint64_t trace_id = 0;
-  std::string instance_name;
-};
+/// One tune session as the client requests it: the SubmitTune frame
+/// itself, tagged like a job.  Pack the instance with pack_tsp_instance().
+using RemoteTune = SubmitTuneFrame;
 
 /// How a request failed, transport-wise.  Job/session-level failures (a
 /// solver that threw, an infeasible outcome) are NOT errors here — they
@@ -238,29 +215,46 @@ class Client {
   /// the connection is lost or the stream is malformed (*error filled).
   bool poll(int timeout_ms, std::string* error = nullptr);
 
-  /// Drains every buffered terminal ResultFrame (any tag), in tag order,
-  /// clearing the drained tags' pending/retry bookkeeping.
+  /// Drains every buffered terminal ResultFrame (any tag), in tag order.
   std::vector<ResultFrame> take_ready_results();
 
-  /// Drops all client-side state for `tag` (pending job, buffered result,
-  /// status updates, retry bookkeeping).  For tags that will never be
-  /// waited on.
+  /// Drops all client-side state for `tag` (pending request, buffered
+  /// result, status updates).  For tags that will never be waited on.
   void forget(std::uint64_t tag);
 
  private:
+  /// One in-flight submit: the encoded SubmitJob / SubmitTune payload,
+  /// resent verbatim on every resubmit.
+  struct Request {
+    std::uint32_t type = 0;  ///< kRecordNetSubmitJob | kRecordNetSubmitTune
+    std::vector<std::uint8_t> payload;
+    bool retry_wanted = false;  ///< refused with a RETRYABLE code
+    int attempts = 0;           ///< retryable-refusal resubmits so far
+  };
+
   /// Decodes and routes every complete frame already buffered in in_.
   /// Returns the number handled, or -1 on a malformed stream.
   int drain_buffered_frames(std::string* error);
   bool send_frame(std::uint32_t type, std::span<const std::uint8_t> payload);
-  /// Reads until `stop_type` (or a Result/TuneResult / retryable refusal
-  /// for `stop_tag`) arrives, the timeout expires, or the connection
-  /// breaks.  Buffers everything else.
+  /// Reads until the stop condition holds, the timeout expires, or the
+  /// connection breaks; buffers everything it routes.  With `stop_tag` != 0
+  /// (tags start at 1) it waits on that request: it stops once the tag
+  /// leaves the ledger or is flagged for a retry.  Otherwise it stops on
+  /// the first `stop_type` frame and fails on an Error frame.
   bool pump(std::uint32_t stop_type, std::uint64_t stop_tag, int timeout_ms,
             std::string* error);
   bool handshake(std::string* error);
   bool reconnect_and_resubmit(std::string* error);
-  bool send_submit(std::uint64_t tag, const RemoteJob& job);
-  bool send_submit_tune(std::uint64_t tag, const RemoteTune& tune);
+  /// Stamps a fresh tag over the payload's leading u64, enters it in the
+  /// ledger and sends it.
+  RemoteOutcome<std::uint64_t> submit(std::uint32_t type,
+                                      std::vector<std::uint8_t> payload);
+  /// The one wait loop: blocks until `tag`, a pending `type` submit, leaves
+  /// the ledger (its terminal frame or permanent refusal is buffered),
+  /// backing off and resubmitting retryable refusals and redialling lost
+  /// connections within request_timeout_ms.  nullopt once the tag has left
+  /// the ledger; else the failure, with the tag dropped.
+  std::optional<RemoteError> await(std::uint64_t tag, std::uint32_t type);
   void handle_incoming(const Frame& f);
   /// Classifies a failed round-trip: an Error frame that arrived during the
   /// request (errors_ grew past `errors_before`) makes it a refusal carrying
@@ -283,20 +277,15 @@ class Client {
   HelloAckFrame ack_;
   std::uint64_t next_tag_ = 1;
 
-  std::map<std::uint64_t, RemoteJob> pending_;  // resubmitted on reconnect
+  /// The ledger: every submitted tag until its terminal frame or refusal.
+  std::map<std::uint64_t, Request> pending_;
+  // Terminal frames by kind.  A permanent job refusal lands in results_ as
+  // a synthesized failed frame, a permanent tune refusal as a typed error.
   std::map<std::uint64_t, ResultFrame> results_;
-  std::map<std::uint64_t, std::vector<service::JobStatus>> updates_;
-  /// Tags refused with a RETRYABLE code: still pending; wait_result() backs off
-  /// and resubmits.  The paired map counts resubmit attempts per tag.
-  std::set<std::uint64_t> retry_wanted_;
-  std::map<std::uint64_t, int> retry_attempts_;
-  // Tune sessions mirror the job maps; terminal refusals land as typed
-  // errors (tune_failures_) rather than synthesized frames.
-  std::map<std::uint64_t, RemoteTune> tune_pending_;
   std::map<std::uint64_t, TuneResultFrame> tune_results_;
   std::map<std::uint64_t, RemoteError> tune_failures_;
+  std::map<std::uint64_t, std::vector<service::JobStatus>> updates_;
   std::map<std::uint64_t, std::vector<TuneStatusFrame>> tune_updates_;
-  std::set<std::uint64_t> tune_retry_wanted_;
   std::optional<MetricsFrame> last_metrics_;
   std::optional<std::string> last_trace_;
   std::optional<std::string> last_prom_;

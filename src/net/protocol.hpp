@@ -103,7 +103,7 @@ struct ErrorFrame {
 
 struct SubmitJobFrame {
   std::uint64_t tag = 0;
-  std::string solver;  ///< registry name: sa | da | tabu | pt | qbsolv
+  std::string solver = "da";  ///< registry name: sa | da | tabu | pt | qbsolv
   std::uint32_t num_replicas = 32;
   std::uint32_t num_sweeps = 100;
   std::uint64_t seed = 1;
@@ -165,7 +165,7 @@ enum TuneStrategyCode : std::uint8_t {
 
 struct SubmitTuneFrame {
   std::uint64_t tag = 0;
-  std::string solver;  ///< registry name: sa | da | tabu | pt | qbsolv
+  std::string solver = "da";  ///< registry name: sa | da | tabu | pt | qbsolv
   std::uint8_t strategy = kTuneComposed;
   double pf_target = 0.8;  ///< used when strategy == kTunePbs
   std::uint32_t trials = 10;

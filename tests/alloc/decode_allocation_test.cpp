@@ -1,6 +1,7 @@
-// Allocation bounds of the model decoder, measured with a counting global
-// operator new.  This suite is its own binary (qross_alloc_tests) so the
-// replacement allocator stays out of the main suite.
+// Allocation bounds of the model decoder and of the client's submit path,
+// measured with a counting global operator new.  This suite is its own
+// binary (qross_alloc_tests) so the replacement allocator stays out of the
+// main suite.
 //
 // The case it guards: a model payload declares its variable count before
 // any term, and that count commits the receiver to n^2-sized work (a
@@ -9,18 +10,28 @@
 // variables allocated 512 MiB before the decoder read a single term.  The
 // model is O(n + nnz) now, but the decoder still refuses a count its
 // payload does not pay for.
+//
+// The client side: submit_job() encodes the caller's job once, so its
+// allocations must not scale with the model (a copy of the model costs one
+// allocation per row).
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "io/binary.hpp"
 #include "io/snapshot.hpp"
+#include "net/client.hpp"
 #include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "qubo/model.hpp"
 
 namespace {
@@ -28,6 +39,7 @@ namespace {
 thread_local bool g_counting = false;
 thread_local std::size_t g_largest = 0;
 thread_local std::size_t g_total = 0;
+thread_local std::size_t g_calls = 0;
 
 }  // namespace
 
@@ -35,6 +47,7 @@ void* operator new(std::size_t size) {
   if (g_counting) {
     g_largest = std::max(g_largest, size);
     g_total += size;
+    ++g_calls;
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -54,12 +67,14 @@ class AllocationProbe {
   AllocationProbe() {
     g_largest = 0;
     g_total = 0;
+    g_calls = 0;
     g_counting = true;
   }
   ~AllocationProbe() { stop(); }
   void stop() { g_counting = false; }
   std::size_t largest() const { return g_largest; }
   std::size_t total() const { return g_total; }
+  std::size_t calls() const { return g_calls; }
 };
 
 constexpr std::size_t kKiB = 1024;
@@ -151,6 +166,64 @@ TEST(DecodeAllocation, MatrixGrowsOnlyWithThePayload) {
   EXPECT_THROW(io::decode_model(in), io::DecodeError);
   probe.stop();
   EXPECT_LT(probe.total(), 64 * kKiB);
+}
+
+/// Allocations of one submit_job() of an `n`-variable model with a term in
+/// every row, against a peer that acknowledges the Hello and then only
+/// reads.
+std::size_t submit_allocations(const net::Endpoint& endpoint, std::size_t n) {
+  qubo::QuboModel model(n);
+  for (std::size_t i = 0; i < n; ++i) model.add_term(i, i, -1.0);
+  net::RemoteJob job;
+  job.model = std::move(model);
+  net::ClientConfig config;
+  config.server = endpoint;
+  net::Client client(config);
+  std::string error;
+  EXPECT_TRUE(client.connect(&error)) << error;
+  AllocationProbe probe;
+  const auto tag = client.submit_job(job);
+  probe.stop();
+  EXPECT_TRUE(tag.ok()) << tag.error().message;
+  return probe.calls();
+}
+
+TEST(ClientAllocation, SubmitAllocationsDoNotGrowWithTheModel) {
+  std::string error;
+  auto listener =
+      net::listen_on(*net::Endpoint::parse("tcp:127.0.0.1:0"), &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  const auto endpoint = net::local_endpoint(listener.fd());
+  ASSERT_TRUE(endpoint.has_value());
+  // One connection per measured submit; each reads until its client hangs
+  // up.
+  std::thread peer([&] {
+    for (int k = 0; k < 2; ++k) {
+      const int fd = ::accept(listener.fd(), nullptr, nullptr);
+      if (fd < 0) return;
+      net::Socket conn(fd);
+      net::FrameBuffer in;
+      std::vector<std::uint8_t> buf(65536);
+      while (true) {
+        const long n = conn.recv_some(buf.data(), buf.size(), 10000);
+        if (n <= 0) break;
+        in.append(buf.data(), static_cast<std::size_t>(n));
+        net::Frame f;
+        while (in.next(&f) == net::FrameBuffer::Status::frame) {
+          if (f.type != io::kRecordNetHello) continue;
+          const auto ack =
+              net::frame(io::kRecordNetHelloAck, net::encode_hello_ack({}));
+          conn.send_all(ack.data(), ack.size());
+        }
+      }
+    }
+  });
+  const std::size_t small = submit_allocations(*endpoint, 16);
+  const std::size_t large = submit_allocations(*endpoint, 256);
+  peer.join();
+  EXPECT_LE(std::max(small, large) - std::min(small, large), 2u)
+      << "submit_job allocated " << small << " times for 16 rows and "
+      << large << " times for 256 rows";
 }
 
 }  // namespace

@@ -956,8 +956,8 @@ TEST_F(NetServerTest, InvalidJobIsBadRequestNotDrainingAndNotRetried) {
 
 // The retryable side of the taxonomy: a kErrDraining refusal keeps the job
 // pending and the client resubmits it (with backoff) under its original
-// tag.  Scripted one-connection server: first SubmitJob → kErrDraining,
-// the resubmit → a done Result.
+// tag, as the very bytes it first sent.  Scripted one-connection server:
+// first SubmitJob → kErrDraining, the resubmit → a done Result.
 TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
   std::string error;
   auto listener = listen_on(*Endpoint::parse("tcp:127.0.0.1:0"), &error);
@@ -966,6 +966,7 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
   ASSERT_TRUE(endpoint.has_value());
 
   std::atomic<int> submits_seen{0};
+  std::vector<std::vector<std::uint8_t>> payloads;  // joined before reading
   std::thread scripted([&] {
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd < 0) return;
@@ -987,6 +988,7 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
         if (f.type == io::kRecordNetHello) {
           reply(io::kRecordNetHelloAck, encode_hello_ack({}));
         } else if (f.type == io::kRecordNetSubmitJob) {
+          payloads.push_back(f.payload);
           const auto submit = decode_submit(f.payload);
           if (++submits_seen == 1) {
             ErrorFrame busy;
@@ -1017,6 +1019,10 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
       << "retryable refusal must be resubmitted, got: " << result.error;
   EXPECT_EQ(submits_seen.load(), 2) << "refused once, resubmitted once";
   scripted.join();
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[1], payloads[0])
+      << "the resubmit must resend the first SubmitJob byte for byte, tag "
+         "included";
 }
 
 // The retryable side of kErrServerFull: connect() backs off and redials

@@ -2,9 +2,12 @@
 // append-only legacy tolerance), the TSP instance transport helpers, and
 // end-to-end sessions against a real Server + TuneService — bit-identity
 // with in-process tuning, warm-cache replay, cancellation mid-session, and
-// the error taxonomy for daemons without a tuner.
+// the error taxonomy for daemons without a tuner, and the client's retry
+// and reconnect paths for sessions.
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +21,7 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "problems/tsp/generators.hpp"
 #include "qross/facade.hpp"
 #include "service/tune_service.hpp"
@@ -172,6 +176,34 @@ solvers::SolveOptions fast_options() {
   return options;
 }
 
+/// Delegates to the digital annealer for its first `budget` probes, then
+/// holds every later one until its stop token trips: a session that streams
+/// a known prefix of trials and then ends only by cancellation.
+class StallingSolver final : public solvers::QuboSolver {
+ public:
+  explicit StallingSolver(int budget) : budget_(budget) {}
+  std::string name() const override { return inner_->name(); }
+  std::uint64_t config_digest() const override {
+    return inner_->config_digest();
+  }
+  qubo::SolveBatch solve(const qubo::QuboModel& model,
+                         const solvers::SolveOptions& options) const override {
+    if (calls_.fetch_add(1) < budget_) return inner_->solve(model, options);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!options.stop.stop_requested() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return {};
+  }
+
+ private:
+  solvers::SolverPtr inner_ = std::make_shared<solvers::DigitalAnnealer>();
+  int budget_;
+  mutable std::atomic<int> calls_{0};
+};
+
 class NetTuneTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -203,17 +235,9 @@ class NetTuneTest : public ::testing::Test {
   /// tuner whose probe solves run ~50M sweeps, so only cancellation paths
   /// can end a session within the test.
   Endpoint start(bool with_tuner = true, bool slow_probes = false,
-                 std::size_t max_sessions = 4) {
+                 std::size_t max_sessions = 4,
+                 const std::string& listen_spec = "tcp:127.0.0.1:0") {
     service_ = std::make_unique<service::SolveService>();
-    ServerConfig config;
-    config.listen.push_back(*Endpoint::parse("tcp:127.0.0.1:0"));
-    config.registry = [this](const std::string& name) -> solvers::SolverPtr {
-      if (name == "count") {
-        return std::make_shared<testing::CountingSolver>(
-            std::make_shared<solvers::DigitalAnnealer>(), invocations_);
-      }
-      return default_solver_registry(name);
-    };
     if (with_tuner) {
       solvers::SolveOptions probe_options = fast_options();
       if (slow_probes) probe_options.num_sweeps = 50'000'000;
@@ -222,8 +246,29 @@ class NetTuneTest : public ::testing::Test {
       tune_service_ = std::make_unique<service::TuneService>(
           core::QrossTuner(tuner_->surrogate(), probe_options), *service_,
           tune_config);
-      config.tune = tune_service_.get();
     }
+    return start_server(listen_spec);
+  }
+
+  /// (Re)starts the Server alone over the existing services: a daemon
+  /// restart as a connected client sees it.  "count" resolves to a
+  /// CountingSolver around the digital annealer, or to a StallingSolver
+  /// while stall_after_ >= 0.
+  Endpoint start_server(const std::string& listen_spec) {
+    server_.reset();
+    ServerConfig config;
+    config.listen.push_back(*Endpoint::parse(listen_spec));
+    config.registry = [this](const std::string& name) -> solvers::SolverPtr {
+      if (name == "count") {
+        if (stall_after_ >= 0) {
+          return std::make_shared<StallingSolver>(stall_after_);
+        }
+        return std::make_shared<testing::CountingSolver>(
+            std::make_shared<solvers::DigitalAnnealer>(), invocations_);
+      }
+      return default_solver_registry(name);
+    };
+    config.tune = tune_service_.get();
     server_ = std::make_unique<Server>(*service_, config);
     std::string error;
     if (!server_->start(&error)) {
@@ -256,6 +301,7 @@ class NetTuneTest : public ::testing::Test {
 
   static core::QrossTuner* tuner_;
   std::atomic<int> invocations_{0};
+  int stall_after_ = -1;
   std::unique_ptr<service::SolveService> service_;
   std::unique_ptr<service::TuneService> tune_service_;
   std::unique_ptr<Server> server_;
@@ -433,6 +479,140 @@ TEST_F(NetTuneTest, BadStrategyCodeIsRejectedAsBadRequest) {
   EXPECT_EQ(outcome.error().kind, RemoteErrorKind::refused);
   EXPECT_EQ(outcome.error().code, kErrBadRequest);
   EXPECT_FALSE(outcome.error().retryable());
+}
+
+// The retryable side of the tune taxonomy: a kErrServerFull refusal (the
+// session quota) keeps the session pending and tune_wait() resubmits it
+// under its original tag.  Scripted one-connection server: first SubmitTune
+// → kErrServerFull, the resubmit → a done TuneResult.
+TEST_F(NetTuneTest, RetryableTuneRefusalIsResubmittedUntilAccepted) {
+  std::string error;
+  auto listener = listen_on(*Endpoint::parse("tcp:127.0.0.1:0"), &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  const auto endpoint = local_endpoint(listener.fd());
+  ASSERT_TRUE(endpoint.has_value());
+
+  std::atomic<int> submits_seen{0};
+  std::thread scripted([&] {
+    const int fd = ::accept(listener.fd(), nullptr, nullptr);
+    if (fd < 0) return;
+    Socket conn(fd);
+    FrameBuffer in;
+    std::uint8_t buf[65536];
+    const auto reply = [&](std::uint32_t type,
+                           std::span<const std::uint8_t> payload) {
+      const auto bytes = frame(type, payload);
+      conn.send_all(bytes.data(), bytes.size());
+    };
+    // Reads until the client hangs up, so a third SubmitTune is counted too.
+    while (true) {
+      const long n = conn.recv_some(buf, sizeof(buf), 10000);
+      if (n <= 0) break;
+      in.append(buf, static_cast<std::size_t>(n));
+      Frame f;
+      while (in.next(&f) == FrameBuffer::Status::frame) {
+        if (f.type == io::kRecordNetHello) {
+          reply(io::kRecordNetHelloAck, encode_hello_ack({}));
+        } else if (f.type == io::kRecordNetSubmitTune) {
+          const auto submit = decode_submit_tune(f.payload);
+          if (++submits_seen == 1) {
+            ErrorFrame full;
+            full.tag = submit.tag;
+            full.code = kErrServerFull;
+            full.message = "scripted: session quota full";
+            reply(io::kRecordNetError, encode_error(full));
+          } else {
+            TuneResultFrame result;
+            result.tag = submit.tag;
+            result.status = kTuneDone;
+            result.best_length = 1.0;
+            reply(io::kRecordNetTuneResult, encode_tune_result(result));
+          }
+        }
+      }
+    }
+  });
+
+  {
+    Client client = make_client(*endpoint, /*request_timeout_ms=*/10000);
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const auto tag = client.submit_tune(
+        tune_request(tsp::generate_uniform(8, 0xD008)));
+    ASSERT_TRUE(tag.ok()) << tag.error().message;
+    const auto outcome = client.tune_wait(tag.value());
+    ASSERT_TRUE(outcome.ok())
+        << "retryable refusal must be resubmitted, got: "
+        << outcome.error().message;
+    EXPECT_EQ(outcome.value().tag, tag.value());
+    EXPECT_EQ(outcome.value().status, kTuneDone);
+  }  // hangup ends the scripted server
+  scripted.join();
+  EXPECT_EQ(submits_seen.load(), 2) << "refused once, resubmitted once";
+}
+
+// A daemon restart between submit_tune and tune_wait.  The hangup cancels
+// the session server-side, so the client redials, resubmits it under its
+// original tag and drops the progress the dead session streamed: the
+// replacement streams from trial 0 and ends where in-process tuning does.
+TEST_F(NetTuneTest, ClientReconnectsAndResubmitsTuneSession) {
+  const auto instance = tsp::generate_uniform(8, 0xD009);
+  core::TuneOptions options;
+  options.trials = 4;
+  options.seed = 21;
+  const core::TuneOutcome direct = tuner_->tune(
+      instance, std::make_shared<solvers::DigitalAnnealer>(), options);
+
+  const auto socket_path = std::filesystem::path(::testing::TempDir()) /
+                           "qross_tune_reconnect.sock";
+  std::filesystem::remove(socket_path);
+  const std::string listen_spec = "unix:" + socket_path.string();
+  stall_after_ = 2;  // the first daemon streams two trials, then hangs
+  const auto endpoint = start(/*with_tuner=*/true, /*slow_probes=*/false,
+                              /*max_sessions=*/4, listen_spec);
+  Client client = make_client(endpoint);
+  std::string error;
+  ASSERT_TRUE(client.connect(&error)) << error;
+  const auto tag = client.submit_tune(tune_request(instance));
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (client.tune_status(tag.value()).size() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(client.poll(50, &error)) << error;
+  }
+  ASSERT_EQ(client.tune_status(tag.value()).size(), 2u);
+
+  // Bounce the daemon: same services, same socket path.  The reset joins
+  // the reactor, the only reader of stall_after_.
+  server_.reset();
+  stall_after_ = -1;
+  start_server(listen_spec);
+
+  auto outcome = client.tune_wait(tag.value());
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  const TuneResultFrame& result = outcome.value();
+  ASSERT_EQ(result.status, kTuneDone) << result.error;
+  ASSERT_EQ(result.trials.size(), direct.trials.size());
+  for (std::size_t t = 0; t < direct.trials.size(); ++t) {
+    EXPECT_EQ(result.trials[t].relaxation_parameter,
+              direct.trials[t].relaxation_parameter)
+        << "probed-A sequence diverged at trial " << t;
+    EXPECT_EQ(result.trials[t].pf, direct.trials[t].pf);
+    EXPECT_EQ(result.trials[t].best_length_so_far,
+              direct.trials[t].best_length_so_far);
+  }
+  EXPECT_EQ(result.best_length, direct.best_length);
+  EXPECT_EQ(result.best_parameter, direct.best_parameter);
+
+  const auto updates = client.tune_status(tag.value());
+  ASSERT_EQ(updates.size(), 4u)
+      << "the dead session's two trials must be dropped on resubmit";
+  for (std::size_t t = 0; t < updates.size(); ++t) {
+    EXPECT_EQ(updates[t].trial, t);
+    EXPECT_EQ(updates[t].relaxation_parameter,
+              result.trials[t].relaxation_parameter);
+  }
 }
 
 }  // namespace
