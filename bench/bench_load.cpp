@@ -29,14 +29,15 @@
 // summary count — silently ungated coverage is itself a CI smell.
 //
 // Every run, --check or not, exits 1 when a row scores more cache hits
-// than its own hot-set draws can explain (cache_hit_bound): the rows share
-// one service cache, so such a row replayed another row's models.
+// than its own schedule can explain (own_hit_ceiling): the rows share one
+// service cache, so such a row replayed another row's models.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,17 +83,23 @@ struct CurveRow {
   /// `expired_rate` in the committed curves (informational, never gated:
   /// its rate_fraction is above kGatedFractionMax by construction).
   bool deadline_heavy = false;
+  std::size_t hit_ceiling = 0;  ///< own_hit_ceiling of the row's schedule
   load::LoadSummary summary;
 };
 
-/// The most cache hits a row of `jobs` may score.  Hits come only from the
-/// row's own hot-set draws, Binomial(jobs, kHitRatio); the slack is three
-/// standard deviations plus one job.  More means the row replayed models
-/// another row already cached: two rows sharing one seed stream.
-double cache_hit_bound(std::size_t jobs) {
-  const double n = static_cast<double>(jobs);
-  return kHitRatio * n + 3.0 * std::sqrt(n * kHitRatio * (1.0 - kHitRatio)) +
-         1.0;
+/// The most cache hits a schedule can score on its own: every hot draw
+/// after the first of its model seed (fresh seeds never repeat).  More
+/// means the row replayed models another row already cached: two rows
+/// sharing one seed stream.
+std::size_t own_hit_ceiling(const load::Schedule& schedule) {
+  std::size_t hot_draws = 0;
+  std::set<std::uint64_t> hot_seeds;
+  for (const auto& job : schedule.jobs) {
+    if (!job.hot) continue;
+    ++hot_draws;
+    hot_seeds.insert(job.model_seed);
+  }
+  return hot_draws - hot_seeds.size();
 }
 
 double client_p95(const load::LoadSummary& summary, const std::string& id) {
@@ -206,6 +213,7 @@ CurveRow run_row(const net::Endpoint& endpoint, load::ArrivalKind arrivals,
   row.arrivals = arrivals;
   row.rate_fraction = fraction;
   row.deadline_heavy = deadline_heavy;
+  row.hit_ceiling = own_hit_ceiling(schedule);
   row.summary = load::summarize(schedule, result);
   std::fprintf(stderr,
                "%-7s %.2fx%s  offered %7.1f/s  ok %5.1f%%  shed %5.1f%%  "
@@ -395,16 +403,12 @@ int main(int argc, char** argv) {
   int reused = 0;
   for (const auto& row : rows) {
     const auto& counts = row.summary.counts;
-    if (static_cast<double>(counts.cache_hits) <=
-        cache_hit_bound(counts.jobs)) {
-      continue;
-    }
+    if (counts.cache_hits <= row.hit_ceiling) continue;
     std::fprintf(stderr,
                  "bench_load: %s %.2fx scored %zu cache hits in %zu jobs, "
-                 "above its bound %.1f: rows share a seed stream\n",
+                 "above its ceiling %zu: rows share a seed stream\n",
                  load::to_string(row.arrivals), row.rate_fraction,
-                 counts.cache_hits, counts.jobs,
-                 cache_hit_bound(counts.jobs));
+                 counts.cache_hits, counts.jobs, row.hit_ceiling);
     ++reused;
   }
   if (reused > 0) return 1;

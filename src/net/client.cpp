@@ -572,6 +572,9 @@ void Client::forget(std::uint64_t tag) {
   pending_.erase(tag);
   results_.erase(tag);
   updates_.erase(tag);
+  tune_results_.erase(tag);
+  tune_failures_.erase(tag);
+  tune_updates_.erase(tag);
 }
 
 }  // namespace qross::net

@@ -165,7 +165,8 @@ class Client {
   /// carrying status kTuneCancelled / kTuneFailed.
   RemoteOutcome<TuneResultFrame> tune_wait(std::uint64_t tag);
 
-  /// Per-trial TuneStatus frames streamed so far for `tag`, in order.
+  /// Per-trial TuneStatus frames streamed so far for `tag`, in order.  Kept
+  /// after tune_wait() returns, until forget(tag).
   std::vector<TuneStatusFrame> tune_status(std::uint64_t tag) const;
 
   /// Requests cancellation of an in-flight tune session; the terminal
@@ -218,8 +219,10 @@ class Client {
   /// Drains every buffered terminal ResultFrame (any tag), in tag order.
   std::vector<ResultFrame> take_ready_results();
 
-  /// Drops all client-side state for `tag` (pending request, buffered
-  /// result, status updates).  For tags that will never be waited on.
+  /// Drops all client-side state for `tag`, job or tune session (pending
+  /// request, buffered terminal frame or refusal, status updates).  For
+  /// tags that will never be waited on, or to release a session's
+  /// TuneStatus history once the caller is done with it.
   void forget(std::uint64_t tag);
 
  private:

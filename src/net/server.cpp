@@ -1,17 +1,19 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
-#include <cstring>
 #include <fcntl.h>
 #include <map>
 #include <memory>
 #include <poll.h>
 #include <sys/socket.h>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "common/thread_annotations.hpp"
 #include "io/binary.hpp"
@@ -46,22 +48,25 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 struct Server::Impl {
-  // One submitted job as the serving side tracks it.
-  struct PendingJob {
-    service::JobHandle handle;
-    bool stream_status = false;
-    service::JobStatus last_reported = service::JobStatus::queued;
+  /// One in-flight request on a connection, from admission until its
+  /// terminal frame is queued: a solve job or a tune session, with the
+  /// streaming state of its kind.
+  struct Request {
+    std::variant<service::JobHandle, service::TuneHandle> handle;
     std::uint64_t trace_id = 0;  ///< client-supplied; stamps the result span
-  };
+    bool stream_status = false;  ///< job: stream queued→running changes
+    service::JobStatus last_reported = service::JobStatus::queued;  ///< job
+    std::size_t reported = 0;  ///< tune: trial events streamed so far
 
-  // One tune session as the serving side tracks it.  `reported` is the
-  // high-water mark of streamed trial events: the persistent notify hook
-  // may enqueue many completions per session, and each reactor pass streams
-  // only events_since(reported), so duplicate wakeups send nothing twice.
-  struct PendingTune {
-    service::TuneHandle handle;
-    std::size_t reported = 0;
-    std::uint64_t trace_id = 0;
+    bool is_tune() const {
+      return std::holds_alternative<service::TuneHandle>(handle);
+    }
+    bool finished() const {
+      return std::visit([](const auto& h) { return h.finished(); }, handle);
+    }
+    void cancel() const {
+      std::visit([](const auto& h) { h.cancel(); }, handle);
+    }
   };
 
   struct Connection {
@@ -75,14 +80,13 @@ struct Server::Impl {
     std::size_t out_offset = 0;
     bool handshaken = false;
     bool closing = false;  // flush `out`, then close
-    std::map<std::uint64_t, PendingJob> jobs;
-    std::map<std::uint64_t, PendingTune> tunes;
+    std::map<std::uint64_t, Request> requests;  // the ledger, by tag
     std::uint64_t submitted = 0;
     std::uint64_t results = 0;
     std::uint64_t cancels = 0;
 
-    explicit Connection(std::uint64_t id_, Socket sock_)
-        : id(id_), sock(std::move(sock_)) {}
+    Connection(std::uint64_t id_, Socket sock_, std::uint32_t max_frame_bytes)
+        : id(id_), sock(std::move(sock_)), in(max_frame_bytes) {}
   };
 
   /// Completion hooks outlive the server when cancelled kernels finish
@@ -93,10 +97,9 @@ struct Server::Impl {
     Mutex m;
     Impl* impl GUARDED_BY(m) = nullptr;  // nulled by stop() after the join
 
-    void deliver(std::uint64_t conn_id, std::uint64_t tag, bool tune)
-        EXCLUDES(m) {
+    void deliver(std::uint64_t conn_id, std::uint64_t tag) EXCLUDES(m) {
       MutexLock lock(m);
-      if (impl != nullptr) impl->on_complete(conn_id, tag, tune);
+      if (impl != nullptr) impl->on_complete(conn_id, tag);
     }
 
     /// Severs the indirection; any hook mid-deliver finishes first (it
@@ -114,10 +117,6 @@ struct Server::Impl {
       MutexLock lock(sink->m);
       sink->impl = this;
     }
-    ctr_frames_sent = service.registry().counter(
-        "qross_net_frames_sent_total", "Frames queued to peers");
-    ctr_frames_received = service.registry().counter(
-        "qross_net_frames_received_total", "Well-framed frames received");
   }
 
   service::SolveService& service;
@@ -133,11 +132,11 @@ struct Server::Impl {
   /// that owns the Server (qrossd's main/signal path), never the reactor.
   bool started = false;
 
-  // Cross-thread state (reactor <-> public API / completion hooks).
+  // Cross-thread state (reactor <-> public API / completion hooks): the
+  // completion queue and the drain/stop flags.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t tag = 0;
-    bool tune = false;  ///< progress/terminal of a tune session, not a job
   };
   mutable Mutex m;
   std::condition_variable cv;
@@ -146,18 +145,65 @@ struct Server::Impl {
   bool draining GUARDED_BY(m) = false;
   bool drain_done GUARDED_BY(m) = false;
   bool stopped GUARDED_BY(m) = false;
-  ServerStats stats GUARDED_BY(m);
 
   // Reactor-thread-only state (stop() touches it only after the join, when
   // the reactor is gone — single-threaded again, so no guard applies).
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::uint64_t next_conn_id = 1;
 
-  // Frame counters in the service's registry: the only store of these
-  // counts, read back by Server::stats() (atomic updates only — safe on the
-  // reactor).
-  obs::Counter* ctr_frames_sent = nullptr;
-  obs::Counter* ctr_frames_received = nullptr;
+  // The server's counters live in the service's registry, the only store
+  // of these counts: Server::stats() and the Metrics frame read them back.
+  // Updates are atomic, so the reactor bumps them without a lock.
+  obs::Counter* counter(const char* name, const char* help) {
+    return service.registry().counter(name, help);
+  }
+  obs::Counter* const ctr_accepted = counter(
+      "qross_net_connections_accepted_total", "Connections accepted");
+  obs::Gauge* const g_active = service.registry().gauge(
+      "qross_net_connections_active", "Connections open now");
+  obs::Counter* const ctr_rejected_full = counter(
+      "qross_net_connections_rejected_full_total", "Accepts refused: full");
+  obs::Counter* const ctr_frames_received = counter(
+      "qross_net_frames_received_total", "Well-framed frames received");
+  obs::Counter* const ctr_frames_sent =
+      counter("qross_net_frames_sent_total", "Frames queued to peers");
+  obs::Counter* const ctr_protocol_errors = counter(
+      "qross_net_protocol_errors_total", "Error frames for protocol misuse");
+  obs::Counter* const ctr_submits =
+      counter("qross_net_submits_total", "SubmitJob requests admitted");
+  obs::Counter* const ctr_results_sent =
+      counter("qross_net_results_sent_total", "Result frames queued");
+  obs::Counter* const ctr_cancels =
+      counter("qross_net_cancels_total", "CancelJob requests honoured");
+  obs::Counter* const ctr_hangup_jobs = counter(
+      "qross_net_disconnect_cancelled_jobs_total", "Hangup-cancelled jobs");
+  obs::Counter* const ctr_tune_submits =
+      counter("qross_net_tune_submits_total", "SubmitTune sessions admitted");
+  obs::Counter* const ctr_tune_results_sent =
+      counter("qross_net_tune_results_sent_total", "TuneResult frames queued");
+  obs::Counter* const ctr_tune_cancels =
+      counter("qross_net_tune_cancels_total", "CancelTune requests honoured");
+  obs::Counter* const ctr_hangup_tunes = counter(
+      "qross_net_disconnect_cancelled_tunes_total", "Hangup-cancelled tunes");
+
+  ServerStats snapshot() const {
+    ServerStats s;
+    s.connections_accepted = ctr_accepted->value();
+    s.connections_active = static_cast<std::uint64_t>(g_active->value());
+    s.frames_received = ctr_frames_received->value();
+    s.frames_sent = ctr_frames_sent->value();
+    s.submits = ctr_submits->value();
+    s.results_sent = ctr_results_sent->value();
+    s.cancels = ctr_cancels->value();
+    s.protocol_errors = ctr_protocol_errors->value();
+    s.disconnect_cancelled_jobs = ctr_hangup_jobs->value();
+    s.connections_rejected_full = ctr_rejected_full->value();
+    s.tune_submits = ctr_tune_submits->value();
+    s.tune_results_sent = ctr_tune_results_sent->value();
+    s.tune_cancels = ctr_tune_cancels->value();
+    s.disconnect_cancelled_tunes = ctr_hangup_tunes->value();
+    return s;
+  }
 
   // --- wakeup -----------------------------------------------------------
 
@@ -171,19 +217,18 @@ struct Server::Impl {
   /// Called by JobHandle::notify / TuneHandle::notify hooks — possibly from
   /// inside the service lock, so this must only enqueue and signal (see
   /// job.hpp contract).  Tune hooks are persistent (one enqueue per trial
-  /// plus the terminal one); the reactor dedups via PendingTune::reported.
+  /// plus the terminal one); the reactor dedups via Request::reported.
   ///
   /// Only the empty → non-empty transition wakes the reactor: it drains the
   /// pipe before it swaps the queue out, so every later push either lands
   /// before that swap or finds the queue empty again and wakes it anew.  A
   /// burst of cache hits costs one pipe write, not one per job.
-  void on_complete(std::uint64_t conn_id, std::uint64_t tag,
-                   bool tune = false) EXCLUDES(m) {
+  void on_complete(std::uint64_t conn_id, std::uint64_t tag) EXCLUDES(m) {
     bool was_empty = false;
     {
       MutexLock lock(m);
       was_empty = completions.empty();
-      completions.push_back({conn_id, tag, tune});
+      completions.push_back({conn_id, tag});
     }
     if (was_empty) wake();
   }
@@ -205,23 +250,25 @@ struct Server::Impl {
   /// protocol error — those rejections have their own counters
   /// (ServiceMetrics::admission_rejected, ServerStats rejection fields).
   void queue_refusal(Connection* conn, std::uint64_t tag, std::uint32_t code,
-                     const std::string& message) EXCLUDES(m) {
-    ErrorFrame error;
-    error.tag = tag;
-    error.code = code;
-    error.message = message;
-    queue_frame(conn, io::kRecordNetError, encode_error(error));
+                     const std::string& message) {
+    queue_frame(conn, io::kRecordNetError,
+                encode_error({.tag = tag, .code = code, .message = message}));
   }
 
   void queue_error(Connection* conn, std::uint64_t tag, std::uint32_t code,
-                   const std::string& message) EXCLUDES(m) {
+                   const std::string& message) {
     // Count BEFORE the frame departs: a peer that has seen the Error frame
     // must see the counter too (tests and operators correlate the two).
-    {
-      MutexLock lock(m);
-      ++stats.protocol_errors;
-    }
+    ctr_protocol_errors->inc();
     queue_refusal(conn, tag, code, message);
+  }
+
+  /// A protocol error the stream cannot recover from: the Error frame goes
+  /// out, then the connection closes.
+  void close_with_error(Connection* conn, std::uint32_t code,
+                        const std::string& message) {
+    queue_error(conn, 0, code, message);
+    conn->closing = true;
   }
 
   /// Non-blocking write of the pending bytes; a peer that cannot keep up
@@ -234,10 +281,8 @@ struct Server::Impl {
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        conn->closing = true;  // broken pipe: close once we fall out
-        conn->out.clear();
-        conn->out_offset = 0;
-        return;
+        conn->closing = true;  // broken pipe: drop the bytes, close later
+        break;
       }
       conn->out_offset += static_cast<std::size_t>(n);
     }
@@ -251,137 +296,135 @@ struct Server::Impl {
 
   // --- request handling -------------------------------------------------
 
-  void handle_submit(Connection* conn, const Frame& f) EXCLUDES(m) {
-    SubmitJobFrame submit;
+  /// Decodes a SubmitJob or SubmitTune and runs the checks both kinds
+  /// share, in order: decodable, not draining, (tunes) a tuner loaded, tag
+  /// not in flight, solver name known.  Returns the solver, or null once
+  /// the refusal is queued.
+  template <typename Submit>
+  solvers::SolverPtr admit(Connection* conn, const Frame& f, Submit& submit)
+      EXCLUDES(m) {
+    constexpr bool kTune = std::is_same_v<Submit, SubmitTuneFrame>;
     // std::exception, not just DecodeError: a decoder slip (bad_alloc from
     // a hostile size that passed the sanity bounds, length_error, ...)
     // must cost one request, never the reactor thread.
     try {
       obs::ScopedSpan span("frame_decode", "net");
-      submit = decode_submit(f.payload);
+      if constexpr (kTune) {
+        submit = decode_submit_tune(f.payload);
+      } else {
+        submit = decode_submit(f.payload);
+      }
     } catch (const std::exception& e) {
       queue_error(conn, 0, kErrBadFrame,
-                  std::string("undecodable SubmitJob: ") + e.what());
-      return;
+                  std::string(kTune ? "undecodable SubmitTune: "
+                                    : "undecodable SubmitJob: ") +
+                      e.what());
+      return nullptr;
     }
     if (is_draining()) {
       queue_refusal(conn, submit.tag, kErrDraining,
                     "server is draining; submissions refused");
-      return;
+      return nullptr;
     }
-    if (conn->jobs.contains(submit.tag) || conn->tunes.contains(submit.tag)) {
-      queue_error(conn, submit.tag, kErrBadRequest,
-                  "tag already has an in-flight request");
-      return;
-    }
-    const auto solver = config.registry(submit.solver);
-    if (solver == nullptr) {
-      queue_error(conn, submit.tag, kErrUnknownSolver,
-                  "unknown solver: " + submit.solver);
-      return;
-    }
-    solvers::SolveOptions options;
-    options.num_replicas = submit.num_replicas;
-    options.num_sweeps = submit.num_sweeps;
-    options.seed = submit.seed;
-    service::SubmitOptions submit_options;
-    submit_options.priority = submit.priority;
-    submit_options.bypass_cache = submit.bypass_cache;
-    if (submit.deadline_ms > 0) {
-      submit_options.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(submit.deadline_ms);
-    }
-    submit_options.client_id = conn->client_id;
-    submit_options.trace_id = submit.trace_id;
-    service::JobHandle handle;
-    try {
-      handle = service.submit(solver, submit.model, options, submit_options);
-    } catch (const service::AdmissionError& e) {
-      // Only genuinely transient refusals are kErrDraining (retryable);
-      // quota violations get their own permanent code so a client stops
-      // resubmitting a job that cannot be admitted until its OWN earlier
-      // work finishes.
-      queue_refusal(conn, submit.tag,
-                    e.retryable() ? kErrDraining : kErrQuotaExceeded,
-                    e.what());
-      return;
-    } catch (const std::exception& e) {
-      // Anything else the service refused is wrong with THIS request (bad
-      // options, invalid model, ...): permanently invalid, never "try the
-      // same bytes again later".  Mapping these to kErrDraining used to
-      // make clients resubmit unacceptable jobs forever.
-      queue_error(conn, submit.tag, kErrBadRequest, e.what());
-      return;
-    }
-    PendingJob job;
-    job.handle = handle;
-    job.stream_status = submit.stream_status;
-    job.trace_id = submit.trace_id;
-    conn->jobs.emplace(submit.tag, std::move(job));
-    ++conn->submitted;
-    {
-      MutexLock lock(m);
-      ++stats.submits;
-    }
-    if (submit.stream_status && !handle.finished()) {
-      JobStatusFrame status;
-      status.tag = submit.tag;
-      status.status = handle.status();
-      queue_frame(conn, io::kRecordNetJobStatus, encode_job_status(status));
-      conn->jobs[submit.tag].last_reported = status.status;
-    }
-    // The hook fires immediately (on this thread) for cache hits — the
-    // completion lands in the queue and its Result goes out next pass.
-    const auto sink_ref = sink;
-    const auto conn_id = conn->id;
-    const auto tag = submit.tag;
-    handle.notify([sink_ref, conn_id, tag] {
-      sink_ref->deliver(conn_id, tag, /*tune=*/false);
-    });
-  }
-
-  void handle_submit_tune(Connection* conn, const Frame& f) EXCLUDES(m) {
-    SubmitTuneFrame submit;
-    try {
-      obs::ScopedSpan span("frame_decode", "net");
-      submit = decode_submit_tune(f.payload);
-    } catch (const std::exception& e) {
-      queue_error(conn, 0, kErrBadFrame,
-                  std::string("undecodable SubmitTune: ") + e.what());
-      return;
-    }
-    if (is_draining()) {
-      queue_refusal(conn, submit.tag, kErrDraining,
-                    "server is draining; submissions refused");
-      return;
-    }
-    if (config.tune == nullptr) {
+    if (kTune && config.tune == nullptr) {
       // Capability refusal, not a protocol error: the frame was fine, this
       // daemon just runs without a tuner (qrossd without --tuner).
       queue_refusal(conn, submit.tag, kErrTuningUnavailable,
                     "no tuner loaded on this server");
-      return;
+      return nullptr;
     }
-    if (conn->jobs.contains(submit.tag) || conn->tunes.contains(submit.tag)) {
+    if (conn->requests.contains(submit.tag)) {
       queue_error(conn, submit.tag, kErrBadRequest,
                   "tag already has an in-flight request");
-      return;
+      return nullptr;
     }
-    const auto solver = config.registry(submit.solver);
+    auto solver = config.registry(submit.solver);
     if (solver == nullptr) {
       queue_error(conn, submit.tag, kErrUnknownSolver,
                   "unknown solver: " + submit.solver);
-      return;
     }
+    return solver;
+  }
+
+  /// Submits through `submit` (which returns the JobHandle or TuneHandle),
+  /// enters the admitted request in the ledger and arms its completion
+  /// hook: once for a job (at once, here, for a cache hit), per trial plus
+  /// the terminal one for a tune.  Null once the refusal is queued.
+  template <typename SubmitFn>
+  Request* track(Connection* conn, std::uint64_t tag, std::uint64_t trace_id,
+                 SubmitFn&& submit) {
+    Request request;
+    try {
+      request.handle = submit();
+    } catch (const service::AdmissionError& e) {
+      // Transient refusals are retryable: draining (kErrDraining) or a full
+      // session quota (kErrServerFull, as for a full accept queue).  A per-
+      // client quota is permanent until the client's OWN work finishes.
+      queue_refusal(conn, tag,
+                    e.kind() == service::AdmissionErrorKind::shutting_down
+                        ? kErrDraining
+                        : (e.retryable() ? kErrServerFull : kErrQuotaExceeded),
+                    e.what());
+      return nullptr;
+    } catch (const std::exception& e) {
+      // Anything else is wrong with THIS request (bad options, invalid
+      // model or instance): permanent, never "retry the same bytes later".
+      queue_error(conn, tag, kErrBadRequest, e.what());
+      return nullptr;
+    }
+    request.trace_id = trace_id;
+    Request& entry =
+        conn->requests.emplace(tag, std::move(request)).first->second;
+    ++conn->submitted;
+    (entry.is_tune() ? ctr_tune_submits : ctr_submits)->inc();
+    std::visit(
+        [&](const auto& handle) {
+          handle.notify([sink_ref = sink, conn_id = conn->id, tag] {
+            sink_ref->deliver(conn_id, tag);
+          });
+        },
+        entry.handle);
+    return &entry;
+  }
+
+  void handle_submit(Connection* conn, const Frame& f) EXCLUDES(m) {
+    SubmitJobFrame submit;
+    const auto solver = admit(conn, f, submit);
+    if (solver == nullptr) return;
+    const solvers::SolveOptions options{.num_replicas = submit.num_replicas,
+                                        .num_sweeps = submit.num_sweeps,
+                                        .seed = submit.seed};
+    service::SubmitOptions submit_options;
+    submit_options.priority = submit.priority;
+    submit_options.bypass_cache = submit.bypass_cache;
+    submit_options.client_id = conn->client_id;
+    submit_options.trace_id = submit.trace_id;
+    if (submit.deadline_ms > 0) {
+      submit_options.deadline = std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(submit.deadline_ms);
+    }
+    Request* request = track(conn, submit.tag, submit.trace_id, [&] {
+      return service.submit(solver, submit.model, options, submit_options);
+    });
+    if (request == nullptr || !submit.stream_status) return;
+    request->stream_status = true;
+    const auto& handle = std::get<service::JobHandle>(request->handle);
+    if (!handle.finished()) {
+      queue_job_status(conn, submit.tag, *request, handle.status());
+    }
+  }
+
+  void handle_submit_tune(Connection* conn, const Frame& f) EXCLUDES(m) {
+    SubmitTuneFrame submit;
+    const auto solver = admit(conn, f, submit);
+    if (solver == nullptr) return;
     if (submit.strategy > kTuneOfs) {
       queue_error(conn, submit.tag, kErrBadRequest,
                   "unknown tune strategy code " +
                       std::to_string(submit.strategy));
       return;
     }
-    service::TuneHandle handle;
-    try {
+    track(conn, submit.tag, submit.trace_id, [&] {
       tsp::TspInstance instance = unpack_tsp_instance(
           submit.instance, submit.instance_name.empty()
                                ? "remote-tune-" + std::to_string(submit.tag)
@@ -393,99 +436,61 @@ struct Server::Impl {
       options.seed = submit.seed;
       options.mode = static_cast<core::TuneStrategyKind>(submit.strategy);
       options.pf_target = submit.pf_target;
-      service::TuneSubmitOptions tune_submit;
-      tune_submit.client_id = conn->client_id;
-      tune_submit.trace_id = submit.trace_id;
-      handle = config.tune->submit(std::move(instance), solver,
-                                   std::move(options), std::move(tune_submit));
-    } catch (const service::AdmissionError& e) {
-      // shutting_down mirrors job admission (kErrDraining); the session
-      // quota is transient capacity pressure — kErrServerFull, the same
-      // "back off and retry" signal as a full accept queue.
-      const std::uint32_t code =
-          e.kind() == service::AdmissionErrorKind::shutting_down
-              ? kErrDraining
-              : (e.retryable() ? kErrServerFull : kErrQuotaExceeded);
-      queue_refusal(conn, submit.tag, code, e.what());
-      return;
-    } catch (const std::exception& e) {
-      // Instance/validation failures are wrong with THIS request.
-      queue_error(conn, submit.tag, kErrBadRequest, e.what());
-      return;
-    }
-    PendingTune pending;
-    pending.handle = handle;
-    pending.trace_id = submit.trace_id;
-    conn->tunes.emplace(submit.tag, std::move(pending));
-    ++conn->submitted;
-    {
-      MutexLock lock(m);
-      ++stats.tune_submits;
-    }
-    // Persistent hook: one wakeup per completed trial, one more at the
-    // terminal transition (and immediately if anything already happened).
-    const auto sink_ref = sink;
-    const auto conn_id = conn->id;
-    const auto tag = submit.tag;
-    handle.notify([sink_ref, conn_id, tag] {
-      sink_ref->deliver(conn_id, tag, /*tune=*/true);
+      return config.tune->submit(
+          std::move(instance), solver, std::move(options),
+          {.client_id = conn->client_id, .trace_id = submit.trace_id});
     });
+  }
+
+  /// The handshake: the first frame must be a Hello this server can serve,
+  /// else the connection closes after the Error frame.
+  void handle_hello(Connection* conn, const Frame& f) {
+    if (f.type != io::kRecordNetHello) {
+      return close_with_error(conn, kErrHandshakeRequired,
+                              "first frame must be Hello");
+    }
+    HelloFrame hello;
+    try {
+      hello = decode_hello(f.payload);
+    } catch (const io::DecodeError& e) {
+      return close_with_error(conn, kErrBadFrame,
+                              std::string("undecodable Hello: ") + e.what());
+    }
+    if (hello.protocol_version > kProtocolVersion) {
+      // A FUTURE client: refuse rather than guess at its semantics.  The
+      // error carries our version so the client can retry lower.
+      return close_with_error(
+          conn, kErrFutureVersion,
+          "protocol version " + std::to_string(hello.protocol_version) +
+              " is newer than this server's " +
+              std::to_string(kProtocolVersion));
+    }
+    if (hello.protocol_version == 0) {
+      return close_with_error(conn, kErrBadRequest,
+                              "protocol version 0 is invalid");
+    }
+    if (hello.client_id.size() > 128) {
+      // The id becomes a scheduler/metrics map key held for the daemon's
+      // lifetime; an unbounded one is a memory lever, not a name.
+      return close_with_error(conn, kErrBadRequest,
+                              "client_id longer than 128 bytes");
+    }
+    conn->handshaken = true;
+    conn->client_id = hello.client_id.empty()
+                          ? "conn-" + std::to_string(conn->id)
+                          : hello.client_id;
+    obs::log_event(obs::LogLevel::debug, "conn_hello",
+                   {{"conn", std::to_string(conn->id)},
+                    {"client_id", conn->client_id},
+                    {"protocol", std::to_string(hello.protocol_version)}});
+    queue_frame(conn, io::kRecordNetHelloAck,
+                encode_hello_ack({.max_frame_bytes = config.max_frame_bytes}));
   }
 
   void handle_frame(Connection* conn, const Frame& f) EXCLUDES(m) {
     ctr_frames_received->inc();
     if (!conn->handshaken) {
-      if (f.type != io::kRecordNetHello) {
-        queue_error(conn, 0, kErrHandshakeRequired,
-                    "first frame must be Hello");
-        conn->closing = true;
-        return;
-      }
-      HelloFrame hello;
-      try {
-        hello = decode_hello(f.payload);
-      } catch (const io::DecodeError& e) {
-        queue_error(conn, 0, kErrBadFrame,
-                    std::string("undecodable Hello: ") + e.what());
-        conn->closing = true;
-        return;
-      }
-      if (hello.protocol_version > kProtocolVersion) {
-        // A FUTURE client: refuse rather than guess at its semantics.  The
-        // error carries our version so the client can retry lower.
-        queue_error(conn, 0, kErrFutureVersion,
-                    "protocol version " +
-                        std::to_string(hello.protocol_version) +
-                        " is newer than this server's " +
-                        std::to_string(kProtocolVersion));
-        conn->closing = true;
-        return;
-      }
-      if (hello.protocol_version == 0) {
-        queue_error(conn, 0, kErrBadRequest, "protocol version 0 is invalid");
-        conn->closing = true;
-        return;
-      }
-      if (hello.client_id.size() > 128) {
-        // The id becomes a scheduler/metrics map key held for the daemon's
-        // lifetime; an unbounded one is a memory lever, not a name.
-        queue_error(conn, 0, kErrBadRequest,
-                    "client_id longer than 128 bytes");
-        conn->closing = true;
-        return;
-      }
-      conn->handshaken = true;
-      conn->client_id = hello.client_id.empty()
-                            ? "conn-" + std::to_string(conn->id)
-                            : hello.client_id;
-      obs::log_event(obs::LogLevel::debug, "conn_hello",
-                     {{"conn", std::to_string(conn->id)},
-                      {"client_id", conn->client_id},
-                      {"protocol", std::to_string(hello.protocol_version)}});
-      HelloAckFrame ack;
-      ack.protocol_version = kProtocolVersion;
-      ack.max_frame_bytes = config.max_frame_bytes;
-      queue_frame(conn, io::kRecordNetHelloAck, encode_hello_ack(ack));
+      handle_hello(conn, f);
       return;
     }
     switch (f.type) {
@@ -495,62 +500,48 @@ struct Server::Impl {
       case io::kRecordNetSubmitTune:
         handle_submit_tune(conn, f);
         return;
+      case io::kRecordNetCancelJob:
       case io::kRecordNetCancelTune: {
-        CancelTuneFrame cancel;
+        const bool tune = f.type == io::kRecordNetCancelTune;
+        std::uint64_t tag = 0;
         try {
-          cancel = decode_cancel_tune(f.payload);
+          tag = tune ? decode_cancel_tune(f.payload).tag
+                     : decode_cancel(f.payload).tag;
         } catch (const io::DecodeError&) {
-          queue_error(conn, 0, kErrBadFrame, "undecodable CancelTune");
+          queue_error(conn, 0, kErrBadFrame,
+                      tune ? "undecodable CancelTune" : "undecodable CancelJob");
           return;
         }
-        const auto it = conn->tunes.find(cancel.tag);
-        if (it == conn->tunes.end()) {
-          queue_error(conn, cancel.tag, kErrUnknownTag,
-                      "no in-flight tune session with this tag");
+        // A tag names one request of one kind: cancelling it as the other
+        // kind finds nothing in flight.
+        const auto it = conn->requests.find(tag);
+        if (it == conn->requests.end() || it->second.is_tune() != tune) {
+          queue_error(conn, tag, kErrUnknownTag,
+                      tune ? "no in-flight tune session with this tag"
+                           : "no in-flight job with this tag");
           return;
         }
-        // The TuneResult (status = cancelled) arrives through the normal
-        // notify path once the session thread reaches its stop boundary.
-        it->second.handle.cancel();
+        // The terminal frame (status = cancelled) arrives through the
+        // normal notify path once the job or session reaches its stop
+        // boundary.
+        it->second.cancel();
         ++conn->cancels;
-        MutexLock lock(m);
-        ++stats.tune_cancels;
-        return;
-      }
-      case io::kRecordNetCancelJob: {
-        CancelJobFrame cancel;
-        try {
-          cancel = decode_cancel(f.payload);
-        } catch (const io::DecodeError&) {
-          queue_error(conn, 0, kErrBadFrame, "undecodable CancelJob");
-          return;
-        }
-        const auto it = conn->jobs.find(cancel.tag);
-        if (it == conn->jobs.end()) {
-          queue_error(conn, cancel.tag, kErrUnknownTag,
-                      "no in-flight job with this tag");
-          return;
-        }
-        it->second.handle.cancel();
-        ++conn->cancels;
-        MutexLock lock(m);
-        ++stats.cancels;
+        (tune ? ctr_tune_cancels : ctr_cancels)->inc();
         return;
       }
       case io::kRecordNetGetMetrics: {
-        MetricsFrame metrics;
-        metrics.service = service.metrics();
-        {
-          MutexLock lock(m);
-          metrics.connections_accepted = stats.connections_accepted;
-          metrics.connections_active = stats.connections_active;
-          metrics.protocol_errors = stats.protocol_errors;
-          metrics.connections_rejected_full = stats.connections_rejected_full;
-        }
-        metrics.connection_submitted = conn->submitted;
-        metrics.connection_results = conn->results;
-        metrics.connection_cancelled = conn->cancels;
-        metrics.client_id = conn->client_id;
+        const ServerStats stats = snapshot();
+        MetricsFrame metrics{
+            .service = service.metrics(),
+            .connections_accepted = stats.connections_accepted,
+            .connections_active = stats.connections_active,
+            .protocol_errors = stats.protocol_errors,
+            .connection_submitted = conn->submitted,
+            .connection_results = conn->results,
+            .connection_cancelled = conn->cancels,
+            .connections_rejected_full = stats.connections_rejected_full,
+            .client_id = conn->client_id,
+            .clients = {}};
         // The rows ride in MetricsFrame::clients on the wire; the copy
         // inside `service` is never encoded, so move it out.
         metrics.clients = std::move(metrics.service.clients);
@@ -566,11 +557,10 @@ struct Server::Impl {
         queue_frame(conn, io::kRecordNetTraceDump, encode_text(json));
         return;
       }
-      case io::kRecordNetGetProm: {
+      case io::kRecordNetGetProm:
         queue_frame(conn, io::kRecordNetPromText,
                     encode_text(service.registry().render_prometheus()));
         return;
-      }
       case io::kRecordNetHello:
         queue_error(conn, 0, kErrBadRequest, "duplicate Hello");
         return;
@@ -583,83 +573,80 @@ struct Server::Impl {
     }
   }
 
-  void send_result(Connection* conn, std::uint64_t tag) EXCLUDES(m) {
-    const auto it = conn->jobs.find(tag);
-    if (it == conn->jobs.end()) return;  // tag already retired
-    const service::JobHandle handle = it->second.handle;
-    if (!handle.finished()) return;  // defensive; hooks fire on terminal
-    const service::JobResult r = handle.result();
-    ResultFrame result;
-    result.tag = tag;
-    result.status = r.status;
-    result.cache_hit = r.cache_hit;
-    result.coalesced = r.coalesced;
-    result.wait_ms = r.wait_ms;
-    result.run_ms = r.run_ms;
-    result.error = r.error;
-    result.batch = r.batch;
-    const std::uint64_t trace_id = it->second.trace_id;
-    conn->jobs.erase(it);
-    ++conn->results;
-    {
-      // Encode + enqueue of the terminal result — the final lifecycle span
-      // (submit → queue → dispatch → kernel → journal → result).
-      obs::ScopedSpan span("result_flush", "net", handle.id(), trace_id);
-      queue_frame(conn, io::kRecordNetResult, encode_result(result));
+  /// Streams what a completion hook signalled: a job's Result, or a tune
+  /// session's new trial events and, once terminal, its result.
+  void send_progress(const Completion& c) {
+    const auto conn_it = conns.find(c.conn_id);
+    if (conn_it == conns.end()) return;  // connection already closed
+    Connection* conn = conn_it->second.get();
+    const auto it = conn->requests.find(c.tag);
+    if (it == conn->requests.end()) return;  // tag already retired
+    const bool tune = it->second.is_tune();
+    if (!(tune ? send_tune_progress(conn, it->first, it->second)
+               : send_result(conn, it->first, it->second))) {
+      return;
     }
-    MutexLock lock(m);
-    ++stats.results_sent;
+    (tune ? ctr_tune_results_sent : ctr_results_sent)->inc();
+    conn->requests.erase(it);
+    ++conn->results;
+  }
+
+  /// Queues a finished job's Result frame; false while it is still live.
+  bool send_result(Connection* conn, std::uint64_t tag, const Request& job) {
+    const auto& handle = std::get<service::JobHandle>(job.handle);
+    if (!handle.finished()) return false;  // a stale wakeup for a reused tag
+    const service::JobResult r = handle.result();
+    const ResultFrame result{.tag = tag,
+                             .status = r.status,
+                             .cache_hit = r.cache_hit,
+                             .coalesced = r.coalesced,
+                             .wait_ms = r.wait_ms,
+                             .run_ms = r.run_ms,
+                             .error = r.error,
+                             .batch = r.batch};
+    // Encode + enqueue of the terminal result — the final lifecycle span
+    // (submit → queue → dispatch → kernel → journal → result).
+    obs::ScopedSpan span("result_flush", "net", handle.id(), job.trace_id);
+    queue_frame(conn, io::kRecordNetResult, encode_result(result));
+    return true;
   }
 
   /// Streams unreported trial events as TuneStatus frames, then — once the
   /// session is terminal — the TuneResult frame.  Idempotent per wakeup:
   /// the persistent hook enqueues one completion per trial, and `reported`
-  /// makes each event go out exactly once.
-  void send_tune_progress(Connection* conn, std::uint64_t tag) EXCLUDES(m) {
-    const auto it = conn->tunes.find(tag);
-    if (it == conn->tunes.end()) return;  // tag already retired
-    PendingTune& pending = it->second;
-    const auto events = pending.handle.events_since(pending.reported);
+  /// makes each event go out exactly once.  True once the result is queued.
+  bool send_tune_progress(Connection* conn, std::uint64_t tag, Request& tune) {
+    const auto& handle = std::get<service::TuneHandle>(tune.handle);
+    const auto events = handle.events_since(tune.reported);
     for (const auto& event : events) {
-      TuneStatusFrame status;
-      status.tag = tag;
-      status.trial = static_cast<std::uint32_t>(event.index);
-      status.total = static_cast<std::uint32_t>(event.total);
-      status.relaxation_parameter = event.relaxation_parameter;
-      status.pf = event.pf;
-      status.best_length = event.best_length;
-      status.energy_avg = event.energy_avg;
-      status.energy_std = event.energy_std;
-      status.feasible = event.feasible;
+      const TuneStatusFrame status{
+          .tag = tag,
+          .trial = static_cast<std::uint32_t>(event.index),
+          .total = static_cast<std::uint32_t>(event.total),
+          .relaxation_parameter = event.relaxation_parameter,
+          .pf = event.pf,
+          .best_length = event.best_length,
+          .energy_avg = event.energy_avg,
+          .energy_std = event.energy_std,
+          .feasible = event.feasible};
       queue_frame(conn, io::kRecordNetTuneStatus, encode_tune_status(status));
     }
-    pending.reported += events.size();
-    if (!pending.handle.finished()) return;
+    tune.reported += events.size();
+    if (!handle.finished()) return false;
     // Every event precedes the terminal transition on the session thread,
     // so a finished handle has already streamed its full trial history.
-    const service::TuneHandle handle = pending.handle;
-    const std::uint64_t trace_id = pending.trace_id;
     const service::TuneSessionResult r = handle.result();
     TuneResultFrame result;
     result.tag = tag;
-    switch (r.status) {
-      case service::TuneSessionStatus::done:
-        result.status = kTuneDone;
-        break;
-      case service::TuneSessionStatus::cancelled:
-        result.status = kTuneCancelled;
-        break;
-      default:
-        result.status = kTuneFailed;
-        break;
-    }
+    result.status = r.status == service::TuneSessionStatus::done ? kTuneDone
+                    : r.status == service::TuneSessionStatus::cancelled
+                        ? kTuneCancelled
+                        : kTuneFailed;
     result.error = r.error;
     result.best_length = r.outcome.best_length;
     result.best_parameter = r.outcome.best_parameter;
-    result.best_tour.reserve(r.outcome.best_tour.size());
-    for (const auto city : r.outcome.best_tour) {
-      result.best_tour.push_back(static_cast<std::uint32_t>(city));
-    }
+    result.best_tour.assign(r.outcome.best_tour.begin(),
+                            r.outcome.best_tour.end());
     result.trials.reserve(r.outcome.trials.size());
     for (const auto& trial : r.outcome.trials) {
       result.trials.push_back({trial.relaxation_parameter, trial.pf,
@@ -667,49 +654,37 @@ struct Server::Impl {
     }
     result.solver_invocations = r.solver_invocations;
     result.wall_ms = r.wall_ms;
-    conn->tunes.erase(it);
-    ++conn->results;
-    {
-      obs::ScopedSpan span("tune_result_flush", "net", handle.id(), trace_id);
-      queue_frame(conn, io::kRecordNetTuneResult, encode_tune_result(result));
-    }
-    MutexLock lock(m);
-    ++stats.tune_results_sent;
+    obs::ScopedSpan span("tune_result_flush", "net", handle.id(),
+                         tune.trace_id);
+    queue_frame(conn, io::kRecordNetTuneResult, encode_tune_result(result));
+    return true;
   }
 
   // --- connection lifecycle ---------------------------------------------
 
-  void close_connection(std::uint64_t id) EXCLUDES(m) {
+  void close_connection(std::uint64_t id) {
     const auto it = conns.find(id);
     if (it == conns.end()) return;
     Connection* conn = it->second.get();
-    std::uint64_t cancelled = 0;
-    for (auto& [tag, job] : conn->jobs) {
-      if (!job.handle.finished()) {
-        job.handle.cancel();
-        ++cancelled;
-      }
-    }
+    std::uint64_t cancelled_jobs = 0;
     std::uint64_t cancelled_tunes = 0;
-    for (auto& [tag, pending] : conn->tunes) {
-      if (!pending.handle.finished()) {
-        pending.handle.cancel();
-        ++cancelled_tunes;
-      }
+    for (const auto& [tag, request] : conn->requests) {
+      if (request.finished()) continue;
+      request.cancel();
+      ++(request.is_tune() ? cancelled_tunes : cancelled_jobs);
     }
     obs::log_event(obs::LogLevel::info, "conn_close",
                    {{"conn", std::to_string(id)},
                     {"client_id", conn->client_id},
-                    {"cancelled_jobs", std::to_string(cancelled)},
+                    {"cancelled_jobs", std::to_string(cancelled_jobs)},
                     {"cancelled_tunes", std::to_string(cancelled_tunes)}});
     conns.erase(it);
-    MutexLock lock(m);
-    stats.disconnect_cancelled_jobs += cancelled;
-    stats.disconnect_cancelled_tunes += cancelled_tunes;
-    stats.connections_active = conns.size();
+    ctr_hangup_jobs->inc(cancelled_jobs);
+    ctr_hangup_tunes->inc(cancelled_tunes);
+    g_active->add(-1.0);
   }
 
-  void accept_pending(const Socket& listener) EXCLUDES(m) {
+  void accept_pending(const Socket& listener) {
     while (true) {
       const int fd = ::accept(listener.fd(), nullptr, nullptr);
       if (fd < 0) {
@@ -723,36 +698,25 @@ struct Server::Impl {
         // back off until some connection leaves.  Best-effort blocking
         // send: the frame is ~100 bytes into a fresh socket buffer, so it
         // cannot stall the reactor.
-        ErrorFrame error;
-        error.code = kErrServerFull;
-        error.message = "server at max_connections (" +
-                        std::to_string(config.max_connections) +
-                        "); retry after backoff";
-        const auto bytes = frame(io::kRecordNetError, encode_error(error));
-        std::size_t sent = 0;
-        while (sent < bytes.size()) {
-          const ssize_t n = ::send(fd, bytes.data() + sent,
-                                   bytes.size() - sent, MSG_NOSIGNAL);
-          if (n < 0 && errno == EINTR) continue;
-          if (n <= 0) break;
-          sent += static_cast<std::size_t>(n);
-        }
-        ::close(fd);
-        MutexLock lock(m);
-        ++stats.connections_rejected_full;
+        const auto bytes = frame(
+            io::kRecordNetError,
+            encode_error({.code = kErrServerFull,
+                          .message = "server at max_connections (" +
+                                     std::to_string(config.max_connections) +
+                                     "); retry after backoff"}));
+        Socket(fd).send_all(bytes.data(), bytes.size());  // then closes
+        ctr_rejected_full->inc();
         continue;
       }
       set_nonblocking(fd);
       set_tcp_nodelay(fd);
       const auto id = next_conn_id++;
-      conns.emplace(id, std::make_unique<Connection>(
-                            id, Socket(fd)));
-      conns[id]->in = FrameBuffer(config.max_frame_bytes);
+      conns.emplace(id, std::make_unique<Connection>(id, Socket(fd),
+                                                     config.max_frame_bytes));
       obs::log_event(obs::LogLevel::info, "conn_open",
                      {{"conn", std::to_string(id)}});
-      MutexLock lock(m);
-      ++stats.connections_accepted;
-      stats.connections_active = conns.size();
+      ctr_accepted->inc();
+      g_active->add(1.0);
     }
   }
 
@@ -779,17 +743,15 @@ struct Server::Impl {
       const auto status = conn->in.next(&f);
       if (status == FrameBuffer::Status::need_more) break;
       if (status == FrameBuffer::Status::oversized) {
-        queue_error(conn, 0, kErrOversizedFrame,
-                    "frame exceeds the " +
-                        std::to_string(config.max_frame_bytes) +
-                        "-byte limit");
-        conn->closing = true;
+        close_with_error(conn, kErrOversizedFrame,
+                         "frame exceeds the " +
+                             std::to_string(config.max_frame_bytes) +
+                             "-byte limit");
         break;
       }
       if (status == FrameBuffer::Status::bad_frame) {
-        queue_error(conn, 0, kErrBadFrame,
-                    "frame checksum mismatch; closing the stream");
-        conn->closing = true;
+        close_with_error(conn, kErrBadFrame,
+                         "frame checksum mismatch; closing the stream");
         break;
       }
       handle_frame(conn, f);
@@ -812,20 +774,21 @@ struct Server::Impl {
 
   /// queued→running transitions for stream_status jobs (poll-driven; the
   /// terminal transition arrives through the completion hook instead).
-  void stream_status_tick(Connection* conn) EXCLUDES(m) {
-    for (auto& [tag, job] : conn->jobs) {
+  void stream_status_tick(Connection* conn) {
+    for (auto& [tag, job] : conn->requests) {
       if (!job.stream_status) continue;
-      const auto status = job.handle.status();
-      if (status == job.last_reported || service::is_terminal(status)) {
-        continue;
+      const auto status = std::get<service::JobHandle>(job.handle).status();
+      if (status != job.last_reported && !service::is_terminal(status)) {
+        queue_job_status(conn, tag, job, status);
       }
-      JobStatusFrame frame_data;
-      frame_data.tag = tag;
-      frame_data.status = status;
-      queue_frame(conn, io::kRecordNetJobStatus,
-                  encode_job_status(frame_data));
-      job.last_reported = status;
     }
+  }
+
+  void queue_job_status(Connection* conn, std::uint64_t tag, Request& job,
+                        service::JobStatus status) {
+    queue_frame(conn, io::kRecordNetJobStatus,
+                encode_job_status({.tag = tag, .status = status}));
+    job.last_reported = status;
   }
 
   bool is_draining() const EXCLUDES(m) {
@@ -874,8 +837,8 @@ struct Server::Impl {
         if (!out_empty(conn.get())) events |= POLLOUT;
         fds.push_back({conn->sock.fd(), events, 0});
         fd_conn.push_back(id);
-        for (const auto& [tag, job] : conn->jobs) {
-          if (job.stream_status) any_stream_jobs = true;
+        for (const auto& [tag, request] : conn->requests) {
+          if (request.stream_status) any_stream_jobs = true;
         }
       }
       // Completions arrive via the wake pipe; the only reason to tick on a
@@ -900,15 +863,7 @@ struct Server::Impl {
         MutexLock lock(m);
         done.swap(completions);
       }
-      for (const auto& c : done) {
-        const auto it = conns.find(c.conn_id);
-        if (it == conns.end()) continue;
-        if (c.tune) {
-          send_tune_progress(it->second.get(), c.tag);
-        } else {
-          send_result(it->second.get(), c.tag);
-        }
-      }
+      for (const auto& c : done) send_progress(c);
 
       // Accept, read, write.
       std::size_t fd_index = 1;
@@ -947,21 +902,14 @@ struct Server::Impl {
         }
       }
 
-      if (drain_now) {
-        bool complete = true;
-        for (const auto& [id, conn] : conns) {
-          if (!conn->jobs.empty() || !conn->tunes.empty() ||
-              !out_empty(conn.get())) {
-            complete = false;
-            break;
-          }
-        }
-        if (complete) {
-          MutexLock lock(m);
-          if (!drain_done) {
-            drain_done = true;
-            cv.notify_all();
-          }
+      // Drained: no connection has a request in flight or bytes unsent.
+      if (drain_now && std::ranges::all_of(conns, [this](const auto& c) {
+            return c.second->requests.empty() && out_empty(c.second.get());
+          })) {
+        MutexLock lock(m);
+        if (!drain_done) {
+          drain_done = true;
+          cv.notify_all();
         }
       }
     }
@@ -1035,10 +983,9 @@ void Server::stop() {
   // indirection FIRST: a kernel finishing late must find no Impl, and the
   // sink mutex makes any hook mid-delivery finish before we tear down.
   impl_->sink->detach();
-  std::vector<std::uint64_t> ids;
-  ids.reserve(impl_->conns.size());
-  for (const auto& [id, conn] : impl_->conns) ids.push_back(id);
-  for (const auto id : ids) impl_->close_connection(id);
+  while (!impl_->conns.empty()) {
+    impl_->close_connection(impl_->conns.begin()->first);
+  }
   impl_->listeners.clear();
   if (impl_->wake_read >= 0) ::close(impl_->wake_read);
   if (impl_->wake_write >= 0) ::close(impl_->wake_write);
@@ -1057,15 +1004,6 @@ void Server::stop() {
   impl_->cv.notify_all();
 }
 
-ServerStats Server::stats() const {
-  ServerStats stats;
-  {
-    MutexLock lock(impl_->m);
-    stats = impl_->stats;
-  }
-  stats.frames_sent = impl_->ctr_frames_sent->value();
-  stats.frames_received = impl_->ctr_frames_received->value();
-  return stats;
-}
+ServerStats Server::stats() const { return impl_->snapshot(); }
 
 }  // namespace qross::net

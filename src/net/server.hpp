@@ -3,27 +3,36 @@
 // qross::net::Server — the network front end above a SolveService.
 //
 // One reactor thread owns every socket: it poll()s the listeners, all
-// connection fds, and a self-pipe; job completions are delivered by
-// JobHandle::notify hooks that enqueue (connection, tag) and, when the
-// queue was empty, write one byte to the pipe, so the reactor wakes without
-// busy-polling and all frame writing stays on one thread (no per-connection
-// locking, no torn frames).  Frames collect in a per-connection buffer that
-// is flushed once per reactor pass, so a burst of results costs about one
-// send(); TCP streams run with TCP_NODELAY so that send is never held back
-// by Nagle waiting on the peer's delayed ACK.
+// connection fds, and a self-pipe; completions are delivered by
+// JobHandle / TuneHandle notify hooks that enqueue (connection, tag) and,
+// when the queue was empty, write one byte to the pipe, so the reactor wakes
+// without busy-polling and all frame writing stays on one thread (no
+// per-connection locking, no torn frames).  Frames collect in a
+// per-connection buffer that is flushed once per reactor pass, so a burst of
+// results costs about one send(); TCP streams run with TCP_NODELAY so that
+// send is never held back by Nagle waiting on the peer's delayed ACK.
 //
-// Connection-scoped job ownership: every job a connection submits is
-// tracked in that connection's table, and a disconnect — orderly or not —
-// cancels its still-in-flight jobs.  A short-lived client that dies
-// mid-batch therefore cannot strand work on the queue.  Results produced by
-// the shared SolveService cache/coalescing still serve other connections;
-// ownership scopes the *cancellation*, not the cached result.
+// One request ledger per connection: every solve job and tune session a
+// connection submits sits in one map from tag to request, from admission
+// until its terminal frame is queued.  A tag names one in-flight request of
+// either kind, so reusing it is refused, and a cancel of the other kind
+// finds nothing.  The entry tells the reactor what a completion means (a
+// Result, or a tune's trial events and TuneResult), and a disconnect —
+// orderly or not — cancels every still-in-flight entry.  A short-lived
+// client that dies mid-batch therefore cannot strand work on the queue.
+// Results produced by the shared SolveService cache/coalescing still serve
+// other connections; ownership scopes the *cancellation*, not the cached
+// result.
+//
+// The server counts into the service's obs::Registry (qross_net_*), the
+// only store of its counts: stats(), the Metrics frame and the Prometheus
+// scrape read the same instruments.
 //
 // Draining (SIGTERM path): drain() stops accepting connections and rejects
 // new submissions with kErrDraining, but keeps serving until every
-// in-flight job has had its Result frame flushed (or the deadline passes);
-// stop() then tears down.  The caller flushes the persistent cache after —
-// see tools/qrossd.cpp.
+// in-flight request has had its terminal frame flushed (or the deadline
+// passes); stop() then tears down.  The caller flushes the persistent cache
+// after — see tools/qrossd.cpp.
 
 #include <chrono>
 #include <cstdint>
@@ -71,11 +80,13 @@ struct ServerConfig {
   service::TuneService* tune = nullptr;
 };
 
+/// A read of the server's qross_net_* instruments in the service's
+/// registry: field `x` is the sample `qross_net_x_total`, except
+/// `connections_active` (the gauge `qross_net_connections_active`).  A
+/// service fronted by several servers over its lifetime counts them all.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
-  /// Read from qross_net_frames_{received,sent}_total in the service's
-  /// registry, the only store of the two frame counts.
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t submits = 0;
@@ -110,13 +121,13 @@ class Server {
   std::vector<Endpoint> endpoints() const;
 
   /// Stops accepting and rejects new submissions, then waits until every
-  /// in-flight job's Result frame has been written out (bounded by
+  /// in-flight request's terminal frame has been written out (bounded by
   /// `deadline`).  Returns true on a complete drain, false on timeout.
   /// Idempotent; safe before or after stop().
   bool drain(std::chrono::milliseconds deadline);
 
-  /// Cancels remaining in-flight jobs, closes every socket, and joins the
-  /// reactor.  Idempotent.
+  /// Cancels remaining in-flight requests, closes every socket, and joins
+  /// the reactor.  Idempotent.
   void stop();
 
   ServerStats stats() const;

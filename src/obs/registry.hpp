@@ -3,7 +3,7 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms with
 // a Prometheus-style text exposition.  Each SolveService owns one, and it is
 // the only store of the events it counts: ServiceMetrics, the Metrics frame,
-// ServerStats' frame counts and the GetProm text all read the same
+// ServerStats and the GetProm text all read the same
 // instruments, so two services in one process never see each other's counts
 // and no event is tallied twice.  Registration takes a mutex and returns a
 // stable pointer; the instruments themselves are updated with atomics only,

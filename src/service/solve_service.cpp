@@ -536,6 +536,18 @@ struct ServiceCore {
     return job->wants_cancel;
   }
 
+  /// True while a subscriber of `exec` other than `job` still wants the
+  /// result: it is live and not cancelling.  A job that leaves a running
+  /// execution with such a follower only detaches; without one, the kernel
+  /// is stop-signalled instead.
+  bool others_interested(const ExecState& exec,
+                         const std::shared_ptr<JobState>& job) const
+      REQUIRES(m) {
+    return std::ranges::any_of(exec.subscribers, [&](const auto& other) {
+      return other != job && job_live(other) && !job_wants_cancel(other);
+    });
+  }
+
   void drop_inflight(const std::shared_ptr<ExecState>& exec) REQUIRES(m) {
     const auto it = inflight.find(exec->key);
     if (it != inflight.end() && it->second == exec) inflight.erase(it);
@@ -572,15 +584,7 @@ struct ServiceCore {
       const auto job = watch.front().second;
       watch.erase(watch.begin());
       if (!job_live(job) || job_wants_cancel(job)) continue;
-      bool others_interested = false;
-      for (const auto& other : exec->subscribers) {
-        if (other == job) continue;
-        if (job_live(other) && !job_wants_cancel(other)) {
-          others_interested = true;
-          break;
-        }
-      }
-      if (others_interested) {
+      if (others_interested(*exec, job)) {
         JobResult r;
         r.status = JobStatus::expired;
         r.coalesced = job != exec->subscribers.front();
@@ -634,15 +638,7 @@ void ServiceCore::cancel_job(const std::shared_ptr<JobState>& job) {
   // Running.  If other jobs still want the result, only detach this one;
   // the kernel is stopped when the last interested job cancels, and that
   // job collects the partial batch once the kernel exits within a sweep.
-  bool others_interested = false;
-  for (const auto& other : exec->subscribers) {
-    if (other == job) continue;
-    if (job_live(other) && !job_wants_cancel(other)) {
-      others_interested = true;
-      break;
-    }
-  }
-  if (others_interested) {
+  if (others_interested(*exec, job)) {
     JobResult r;
     r.status = JobStatus::cancelled;
     // The execution creator (first subscriber) never counts as coalesced,

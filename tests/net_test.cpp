@@ -40,6 +40,7 @@
 #include "obs/trace.hpp"
 #include "problems/mvc/mvc.hpp"
 #include "prom_sample.hpp"
+#include "raw_connection.hpp"
 #include "service/solve_service.hpp"
 #include "solvers/digital_annealer.hpp"
 
@@ -726,53 +727,7 @@ TEST_F(NetServerTest, ClientReconnectsToARestartedServerAndResubmits) {
 
 // --- protocol robustness (raw sockets) --------------------------------------
 
-class RawConnection {
- public:
-  explicit RawConnection(const Endpoint& endpoint) {
-    std::string error;
-    sock_ = connect_to(endpoint, 2000, &error);
-    EXPECT_TRUE(sock_.valid()) << error;
-  }
-
-  bool send_bytes(std::span<const std::uint8_t> bytes) {
-    return sock_.send_all(bytes.data(), bytes.size());
-  }
-
-  bool send_frame(std::uint32_t type, std::span<const std::uint8_t> payload) {
-    return send_bytes(frame(type, payload));
-  }
-
-  /// Reads until one full frame arrives (or 3 s pass).
-  std::optional<Frame> read_frame() {
-    Frame out;
-    std::uint8_t buf[4096];
-    const auto deadline = std::chrono::steady_clock::now() + 3s;
-    while (std::chrono::steady_clock::now() < deadline) {
-      const auto status = buffer_.next(&out);
-      if (status == FrameBuffer::Status::frame) return out;
-      if (status != FrameBuffer::Status::need_more) return std::nullopt;
-      const long n = sock_.recv_some(buf, sizeof(buf), 100);
-      if (n == -2) continue;
-      if (n <= 0) return std::nullopt;
-      buffer_.append(buf, static_cast<std::size_t>(n));
-    }
-    return std::nullopt;
-  }
-
-  bool handshake() {
-    if (!send_frame(io::kRecordNetHello, encode_hello({}))) return false;
-    const auto ack = read_frame();
-    return ack.has_value() && ack->type == io::kRecordNetHelloAck;
-  }
-
-  void half_close() { ::shutdown(sock_.fd(), SHUT_WR); }
-
-  const Socket& socket() const { return sock_; }
-
- private:
-  Socket sock_;
-  FrameBuffer buffer_;
-};
+using testing::RawConnection;
 
 TEST_F(NetServerTest, FutureProtocolVersionGetsACleanErrorFrame) {
   const auto endpoint = start_tcp();
@@ -1171,7 +1126,7 @@ TEST_F(NetServerTest, PrometheusMetricsRoundTripOverTheWire) {
 // --- one store per event ----------------------------------------------------
 //
 // The service's registry is the only store of every counted event: the
-// Metrics frame, the Prometheus scrape and ServerStats' frame counts all
+// Metrics frame, the Prometheus scrape and every ServerStats field all
 // read it, so they agree exactly, and each service counts only its own.
 
 class MetricsStoreTest : public NetServerTest {
@@ -1312,6 +1267,42 @@ TEST_F(MetricsStoreTest, MetricsFrameAndScrapeAgreeAfterAMixedWorkload) {
             static_cast<double>(stats.frames_received));
   EXPECT_EQ(testing::prom_sample(text, "qross_net_frames_sent_total"),
             static_cast<double>(stats.frames_sent));
+
+  // Every other ServerStats field is one qross_net_* instrument too.  The
+  // quota-refused submit never entered the ledger, so it has no Result.
+  EXPECT_EQ(stats.connections_accepted, 1u);
+  EXPECT_EQ(stats.connections_active, 1u);
+  EXPECT_EQ(stats.submits, 7u);
+  EXPECT_EQ(stats.results_sent, 7u);
+  EXPECT_EQ(stats.cancels, 2u);
+  const std::pair<const char*, std::uint64_t> net_pairs[] = {
+      {"qross_net_connections_accepted_total", stats.connections_accepted},
+      {"qross_net_connections_active", stats.connections_active},
+      {"qross_net_submits_total", stats.submits},
+      {"qross_net_results_sent_total", stats.results_sent},
+      {"qross_net_cancels_total", stats.cancels},
+      {"qross_net_protocol_errors_total", stats.protocol_errors},
+      {"qross_net_disconnect_cancelled_jobs_total",
+       stats.disconnect_cancelled_jobs},
+      {"qross_net_connections_rejected_full_total",
+       stats.connections_rejected_full},
+      {"qross_net_tune_submits_total", stats.tune_submits},
+      {"qross_net_tune_results_sent_total", stats.tune_results_sent},
+      {"qross_net_tune_cancels_total", stats.tune_cancels},
+      {"qross_net_disconnect_cancelled_tunes_total",
+       stats.disconnect_cancelled_tunes},
+  };
+  for (const auto& [sample, value] : net_pairs) {
+    const auto scraped = testing::prom_sample(text, sample);
+    ASSERT_TRUE(scraped.has_value()) << sample;
+    EXPECT_EQ(*scraped, static_cast<double>(value)) << sample;
+  }
+  // The Metrics frame's server-wide fields read the same instruments.
+  EXPECT_EQ(reply.value().connections_accepted, stats.connections_accepted);
+  EXPECT_EQ(reply.value().connections_active, stats.connections_active);
+  EXPECT_EQ(reply.value().protocol_errors, stats.protocol_errors);
+  EXPECT_EQ(reply.value().connections_rejected_full,
+            stats.connections_rejected_full);
 }
 
 TEST_F(MetricsStoreTest, TwoServicesInOneProcessCountSeparately) {

@@ -2,8 +2,9 @@
 // append-only legacy tolerance), the TSP instance transport helpers, and
 // end-to-end sessions against a real Server + TuneService — bit-identity
 // with in-process tuning, warm-cache replay, cancellation mid-session, and
-// the error taxonomy for daemons without a tuner, and the client's retry
-// and reconnect paths for sessions.
+// the error taxonomy for daemons without a tuner, the client's retry and
+// reconnect paths for sessions, and the tag rules of the server's one
+// request ledger shared by jobs and sessions.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,10 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "counting_solver.hpp"
@@ -24,6 +28,7 @@
 #include "net/socket.hpp"
 #include "problems/tsp/generators.hpp"
 #include "qross/facade.hpp"
+#include "raw_connection.hpp"
 #include "service/tune_service.hpp"
 #include "solvers/digital_annealer.hpp"
 #include "solvers/qbsolv.hpp"
@@ -204,6 +209,32 @@ class StallingSolver final : public solvers::QuboSolver {
   mutable std::atomic<int> calls_{0};
 };
 
+/// Holds every solve until `open` is set (or its stop token trips), then
+/// delegates to the digital annealer: keeps a request in flight for exactly
+/// as long as a test needs it there.
+class GatedSolver final : public solvers::QuboSolver {
+ public:
+  explicit GatedSolver(const std::atomic<bool>& open) : open_(open) {}
+  std::string name() const override { return inner_->name(); }
+  std::uint64_t config_digest() const override {
+    return inner_->config_digest();
+  }
+  qubo::SolveBatch solve(const qubo::QuboModel& model,
+                         const solvers::SolveOptions& options) const override {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!open_.load() && !options.stop.stop_requested() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return inner_->solve(model, options);
+  }
+
+ private:
+  solvers::SolverPtr inner_ = std::make_shared<solvers::DigitalAnnealer>();
+  const std::atomic<bool>& open_;
+};
+
 class NetTuneTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -224,6 +255,7 @@ class NetTuneTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    gate_open_ = true;
     server_.reset();
     tune_service_.reset();
     service_.reset();
@@ -253,7 +285,7 @@ class NetTuneTest : public ::testing::Test {
   /// (Re)starts the Server alone over the existing services: a daemon
   /// restart as a connected client sees it.  "count" resolves to a
   /// CountingSolver around the digital annealer, or to a StallingSolver
-  /// while stall_after_ >= 0.
+  /// while stall_after_ >= 0; "gated" to a GatedSolver on gate_open_.
   Endpoint start_server(const std::string& listen_spec) {
     server_.reset();
     ServerConfig config;
@@ -266,6 +298,7 @@ class NetTuneTest : public ::testing::Test {
         return std::make_shared<testing::CountingSolver>(
             std::make_shared<solvers::DigitalAnnealer>(), invocations_);
       }
+      if (name == "gated") return std::make_shared<GatedSolver>(gate_open_);
       return default_solver_registry(name);
     };
     config.tune = tune_service_.get();
@@ -301,6 +334,7 @@ class NetTuneTest : public ::testing::Test {
 
   static core::QrossTuner* tuner_;
   std::atomic<int> invocations_{0};
+  std::atomic<bool> gate_open_{true};
   int stall_after_ = -1;
   std::unique_ptr<service::SolveService> service_;
   std::unique_ptr<service::TuneService> tune_service_;
@@ -358,6 +392,28 @@ TEST_F(NetTuneTest, RemoteTuneIsBitIdenticalToInProcessTuning) {
     EXPECT_EQ(updates[t].relaxation_parameter,
               result.trials[t].relaxation_parameter);
   }
+}
+
+// forget() is the way out for a long-lived client: it drops a finished
+// session's status history along with everything else kept for its tag.
+TEST_F(NetTuneTest, ForgetDropsTheSessionsClientSideState) {
+  const auto endpoint = start();
+  Client client = make_client(endpoint);
+  std::string error;
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  const auto tag =
+      client.submit_tune(tune_request(tsp::generate_uniform(8, 0xD00B)));
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
+  const auto outcome = client.tune_wait(tag.value());
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  ASSERT_EQ(client.tune_status(tag.value()).size(), 4u);
+
+  client.forget(tag.value());
+  EXPECT_TRUE(client.tune_status(tag.value()).empty());
+  const auto again = client.tune_wait(tag.value());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().kind, RemoteErrorKind::usage);
 }
 
 TEST_F(NetTuneTest, RepeatedRemoteSessionReplaysWithZeroSolverInvocations) {
@@ -613,6 +669,147 @@ TEST_F(NetTuneTest, ClientReconnectsAndResubmitsTuneSession) {
     EXPECT_EQ(updates[t].relaxation_parameter,
               result.trials[t].relaxation_parameter);
   }
+}
+
+// --- one request ledger per connection ------------------------------------
+//
+// A connection's jobs and tune sessions share one tag space: a tag names
+// one in-flight request of either kind.  Raw frames pick the tags, and the
+// "gated" solver holds the first request in flight while the next arrives.
+
+using testing::RawConnection;
+
+std::vector<std::uint8_t> gated_job(std::uint64_t tag) {
+  SubmitJobFrame submit;
+  submit.tag = tag;
+  submit.solver = "gated";
+  submit.model = pack_tsp_instance(tsp::generate_uniform(6, 0xD100 + tag));
+  submit.num_replicas = 2;
+  submit.num_sweeps = 10;
+  return encode_submit(submit);
+}
+
+std::vector<std::uint8_t> gated_tune(std::uint64_t tag) {
+  SubmitTuneFrame submit;
+  submit.tag = tag;
+  submit.solver = "gated";
+  submit.trials = 2;
+  submit.seed = 21;
+  submit.instance = pack_tsp_instance(tsp::generate_uniform(8, 0xD200 + tag));
+  return encode_submit_tune(submit);
+}
+
+/// The next frame that is not a tune session's progress (TuneStatus), or
+/// an empty frame (type 0) when none arrives within 30 s.
+Frame next_reply(RawConnection& raw) {
+  while (auto f = raw.read_frame(std::chrono::seconds(30))) {
+    if (f->type != io::kRecordNetTuneStatus) return std::move(*f);
+  }
+  return {};
+}
+
+void expect_error(const Frame& reply, std::uint64_t tag, std::uint32_t code,
+                  const std::string& message) {
+  ASSERT_EQ(reply.type, io::kRecordNetError);
+  const auto error = decode_error(reply.payload);
+  EXPECT_EQ(error.tag, tag);
+  EXPECT_EQ(error.code, code);
+  EXPECT_EQ(error.message, message);
+}
+
+void expect_job_done(const Frame& reply, std::uint64_t tag) {
+  ASSERT_EQ(reply.type, io::kRecordNetResult);
+  const auto result = decode_result(reply.payload);
+  EXPECT_EQ(result.tag, tag);
+  EXPECT_EQ(result.status, service::JobStatus::done) << result.error;
+}
+
+void expect_tune_done(const Frame& reply, std::uint64_t tag) {
+  ASSERT_EQ(reply.type, io::kRecordNetTuneResult);
+  const auto result = decode_tune_result(reply.payload);
+  EXPECT_EQ(result.tag, tag);
+  EXPECT_EQ(result.status, kTuneDone) << result.error;
+  EXPECT_EQ(result.trials.size(), 2u);
+}
+
+TEST_F(NetTuneTest, TuneReusingAnInFlightJobTagIsRefused) {
+  RawConnection raw(start());
+  ASSERT_TRUE(raw.handshake());
+  gate_open_ = false;
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob, gated_job(5)));
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitTune, gated_tune(5)));
+  expect_error(next_reply(raw), 5, kErrBadRequest,
+               "tag already has an in-flight request");
+  gate_open_ = true;
+  expect_job_done(next_reply(raw), 5);
+  EXPECT_EQ(server_->stats().submits, 1u);
+  EXPECT_EQ(server_->stats().tune_submits, 0u);
+  EXPECT_EQ(tune_service_->metrics().sessions_started, 0u);
+}
+
+TEST_F(NetTuneTest, JobReusingAnInFlightTuneTagIsRefused) {
+  RawConnection raw(start());
+  ASSERT_TRUE(raw.handshake());
+  gate_open_ = false;
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitTune, gated_tune(7)));
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob, gated_job(7)));
+  expect_error(next_reply(raw), 7, kErrBadRequest,
+               "tag already has an in-flight request");
+  gate_open_ = true;
+  expect_tune_done(next_reply(raw), 7);
+  EXPECT_EQ(server_->stats().submits, 0u);
+  EXPECT_EQ(server_->stats().tune_submits, 1u);
+}
+
+TEST_F(NetTuneTest, CancelOfTheOtherKindFindsNoRequest) {
+  RawConnection raw(start());
+  ASSERT_TRUE(raw.handshake());
+  gate_open_ = false;
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob, gated_job(3)));
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitTune, gated_tune(4)));
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetCancelTune,
+                             encode_cancel_tune({.tag = 3})));
+  expect_error(next_reply(raw), 3, kErrUnknownTag,
+               "no in-flight tune session with this tag");
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetCancelJob,
+                             encode_cancel({.tag = 4})));
+  expect_error(next_reply(raw), 4, kErrUnknownTag,
+               "no in-flight job with this tag");
+  EXPECT_EQ(server_->stats().cancels, 0u);
+  EXPECT_EQ(server_->stats().tune_cancels, 0u);
+
+  // Neither request was touched: both finish once the gate opens.
+  gate_open_ = true;
+  Frame job = next_reply(raw);
+  Frame tune = next_reply(raw);
+  if (job.type == io::kRecordNetTuneResult) std::swap(job, tune);
+  expect_job_done(job, 3);
+  expect_tune_done(tune, 4);
+}
+
+TEST_F(NetTuneTest, HangupCancelsTheInFlightJobAndTheInFlightSession) {
+  {
+    RawConnection raw(start());
+    ASSERT_TRUE(raw.handshake());
+    gate_open_ = false;
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob, gated_job(1)));
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitTune, gated_tune(2)));
+    // Frames are handled in order: the Metrics reply means both are in.
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetGetMetrics, {}));
+    const Frame reply = next_reply(raw);
+    ASSERT_EQ(reply.type, io::kRecordNetMetrics);
+    EXPECT_EQ(decode_metrics(reply.payload).connection_submitted, 2u);
+  }  // hang-up with both gated
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((server_->stats().disconnect_cancelled_jobs == 0 ||
+          server_->stats().disconnect_cancelled_tunes == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->stats().disconnect_cancelled_jobs, 1u);
+  EXPECT_EQ(server_->stats().disconnect_cancelled_tunes, 1u);
 }
 
 }  // namespace

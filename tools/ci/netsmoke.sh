@@ -45,6 +45,9 @@ submitted=$(sed -n 's/^service: .*| \([0-9]*\) submitted,.*/\1/p' netsmoke/metri
 scraped=$(awk '$1 == "qross_jobs_submitted_total" {print $2}' netsmoke/metrics.prom)
 test "$submitted" = 4
 test "$scraped" = "$submitted"
+# The server counts into the same registry: the same four SubmitJob frames.
+net_submits=$(awk '$1 == "qross_net_submits_total" {print $2}' netsmoke/metrics.prom)
+test "$net_submits" = "$submitted"
 ./qross_cli trace --server unix:netsmoke/qrossd.sock --out netsmoke/wire-trace.json
 kill -USR1 "$(cat netsmoke/daemon.pid)"
 for i in $(seq 1 50); do [ -s netsmoke/trace.json ] && break; sleep 0.1; done
