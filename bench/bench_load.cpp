@@ -31,6 +31,7 @@
 // Every run, --check or not, exits 1 when a row scores more cache hits
 // than its own schedule can explain (own_hit_ceiling): the rows share one
 // service cache, so such a row replayed another row's models.
+// BENCH_load.json is written only when every check passed.
 
 #include <algorithm>
 #include <cmath>
@@ -398,8 +399,9 @@ int main(int argc, char** argv) {
                          /*deadline_heavy=*/true));
   server.stop();
 
-  write_load_json(out_dir + "/BENCH_load.json", capacity, rows);
-
+  // Both checks run before the write: a row that reused another row's
+  // models measured the cache, not the service, and the gate must read the
+  // baseline before this run replaces it (--out-dir may equal --check).
   int reused = 0;
   for (const auto& row : rows) {
     const auto& counts = row.summary.counts;
@@ -422,5 +424,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "load gate: ok\n");
   }
+  write_load_json(out_dir + "/BENCH_load.json", capacity, rows);
   return 0;
 }

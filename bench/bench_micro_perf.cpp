@@ -20,6 +20,7 @@
 #include "qubo/replica_block.hpp"
 #include "qubo/simd.hpp"
 #include "qubo/sparse.hpp"
+#include "service/fingerprint.hpp"
 #include "solvers/digital_annealer.hpp"
 #include "solvers/qbsolv.hpp"
 #include "solvers/simulated_annealer.hpp"
@@ -273,6 +274,26 @@ void BM_QbsolvCallMvc(benchmark::State& state) {
   report_sparsity(state, model);
 }
 BENCHMARK(BM_QbsolvCallMvc)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// One result-cache key: what the service computes for every submit, on the
+/// server's reactor thread for a remote job.  8 cities is the wire_batch job
+/// shape (64 variables, 960 terms); terms_per_s is the model walk's rate.
+void BM_FingerprintJob(benchmark::State& state) {
+  const auto model = make_tsp_qubo(static_cast<std::size_t>(state.range(0)));
+  const solvers::DigitalAnnealer solver;
+  solvers::SolveOptions options;
+  options.num_replicas = 8;
+  options.num_sweeps = 40;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::fingerprint_job(solver, model, options));
+  }
+  state.counters["terms_per_s"] = benchmark::Counter(
+      static_cast<double>(model.num_nonzeros()) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["terms"] = static_cast<double>(model.num_nonzeros());
+}
+BENCHMARK(BM_FingerprintJob)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   const auto instance =

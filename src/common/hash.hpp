@@ -1,15 +1,16 @@
 #pragma once
 
 // Deterministic 64-bit stream hasher (FNV-1a over bytes with a splitmix64
-// finaliser).  Used to fingerprint QUBO models, solver configurations and
-// solve options for the result cache — NOT a cryptographic hash, and not
-// stable across platforms with different double representations (all
-// supported targets are IEEE-754 little-endian).
+// finaliser).  Defines the solvers' config_digest values and the io frame
+// checksum (checksum64), so its output is part of the wire and journal
+// bytes — NOT a cryptographic hash, and not stable across platforms with
+// different double representations (all supported targets are IEEE-754
+// little-endian).  The result-cache key has its own word-at-a-time stream
+// (service/fingerprint.cpp).
 //
-// Doubles are mixed via their bit pattern (std::bit_cast), so fingerprints
+// Doubles are mixed via their bit pattern (std::bit_cast), so digests
 // distinguish values that compare equal but are distinct bit patterns only
-// for the -0.0/0.0 pair; callers that canonicalise zeros (the sparse model
-// scan skips structural zeros) are unaffected.
+// for the -0.0/0.0 pair.
 
 #include <bit>
 #include <cstddef>
@@ -18,10 +19,19 @@
 
 namespace qross {
 
+/// splitmix64's finaliser: spreads every input bit over all output bits.
+constexpr std::uint64_t splitmix_finalize(std::uint64_t z) {
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ULL;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return z;
+}
+
 class Hash64 {
  public:
-  /// `salt` decorrelates independent lanes hashing the same stream (the
-  /// 128-bit fingerprint runs two lanes with different salts).
+  /// `salt` decorrelates independent streams (checksum64 uses its own).
   explicit constexpr Hash64(std::uint64_t salt = 0)
       : state_(kOffsetBasis ^ (salt * 0x9e3779b97f4a7c15ULL)) {}
 
@@ -47,15 +57,7 @@ class Hash64 {
   }
 
   /// Final avalanche so that short streams still spread over all bits.
-  constexpr std::uint64_t digest() const {
-    std::uint64_t z = state_;
-    z ^= z >> 30;
-    z *= 0xbf58476d1ce4e5b9ULL;
-    z ^= z >> 27;
-    z *= 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return z;
-  }
+  constexpr std::uint64_t digest() const { return splitmix_finalize(state_); }
 
  private:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;

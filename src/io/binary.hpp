@@ -136,10 +136,10 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-/// Record checksum: the repo's deterministic 64-bit stream hash over the
-/// payload bytes, salted so a checksum never collides with a same-bytes
-/// fingerprint lane.  Not cryptographic — it detects corruption, not
-/// tampering.
+/// Record checksum: the repo's deterministic 64-bit stream hash (Hash64,
+/// byte-wise FNV-1a with its own salt) over the payload bytes.  Its value
+/// is part of every wire frame and journal record.  Not cryptographic — it
+/// detects corruption, not tampering.
 inline std::uint64_t checksum64(std::span<const std::uint8_t> bytes) {
   return Hash64(0xC5C5C5C5C5C5C5C5ULL)
       .mix(std::string_view(reinterpret_cast<const char*>(bytes.data()),

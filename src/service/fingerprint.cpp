@@ -1,38 +1,63 @@
 #include "service/fingerprint.hpp"
 
-#include <string>
+#include <bit>
+#include <limits>
+#include <string_view>
 
+#include "common/assert.hpp"
 #include "common/hash.hpp"
 
 namespace qross::service {
 
 namespace {
 
-// Two decorrelated lanes fed by one pass over the input stream — the model
-// walk runs on every submit, so it must not run per lane.
-struct DualHash {
-  Hash64 hi{1};
-  Hash64 lo{2};
+// One lane of the word stream.  Each step xors a 64-bit word into the state,
+// multiplies by an odd constant and folds the high half back down with an
+// xorshift; all three are bijections of the state, so no word can collapse
+// it or cancel what came before.
+template <std::uint64_t kMul, int kShift>
+struct Lane {
+  std::uint64_t state;
 
-  template <typename T>
-  DualHash& mix(T value) {
-    hi.mix(value);
-    lo.mix(value);
+  void mix(std::uint64_t word) {
+    state ^= word;
+    state *= kMul;
+    state ^= state >> kShift;
+  }
+
+  std::uint64_t digest() const { return splitmix_finalize(state); }
+};
+
+// Two decorrelated lanes (own seed, multiplier and shift) fed by one pass
+// over the stream — the model walk runs on every submit, so it must not run
+// per lane.
+struct DualHash {
+  Lane<0x9e3779b97f4a7c15ULL, 32> hi{0xcbf29ce484222325ULL};
+  Lane<0xff51afd7ed558ccdULL, 29> lo{0x84222325cbf29ce4ULL};
+
+  DualHash& mix(std::uint64_t word) {
+    hi.mix(word);
+    lo.mix(word);
     return *this;
+  }
+
+  DualHash& mix(double value) {
+    return mix(std::bit_cast<std::uint64_t>(value));
   }
 
   Fingerprint digest() const { return {hi.digest(), lo.digest()}; }
 };
 
-// Mixes the canonical model stream: only structural nonzeros with their
-// (i, j) coordinates contribute, so the digest is independent of how the
-// coefficients were accumulated.
+// Mixes the canonical model stream: only structural nonzeros contribute, two
+// words each — the packed (i << 32) | j and the weight's bits — so the digest
+// is independent of how the coefficients were accumulated.
 void mix_model(DualHash& h, const qubo::QuboModel& model) {
+  QROSS_REQUIRE(model.num_vars() <= std::numeric_limits<std::uint32_t>::max(),
+                "fingerprint packs term indices into 32 bits");
   h.mix(static_cast<std::uint64_t>(model.num_vars()));
   h.mix(model.offset());
   model.for_each_term([&](std::size_t i, std::size_t j, double w) {
-    h.mix(static_cast<std::uint64_t>(i));
-    h.mix(static_cast<std::uint64_t>(j));
+    h.mix((static_cast<std::uint64_t>(i) << 32) | j);
     h.mix(w);
   });
 }
@@ -49,7 +74,8 @@ Fingerprint fingerprint_job(const solvers::QuboSolver& solver,
                             const qubo::QuboModel& model,
                             const solvers::SolveOptions& options) {
   DualHash h;
-  h.mix(std::string_view(solver.name()));
+  // The name enters as one word, its Hash64 digest (as config_digest does).
+  h.mix(Hash64().mix(std::string_view(solver.name())).digest());
   h.mix(solver.config_digest());
   mix_model(h, model);
   h.mix(static_cast<std::uint64_t>(options.num_replicas));

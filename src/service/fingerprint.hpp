@@ -20,7 +20,15 @@
 //
 // The fingerprint is 128 bits (two independent 64-bit lanes over the same
 // stream), making accidental collisions across a service lifetime of
-// millions of jobs negligible.
+// millions of jobs negligible.  The stream is 64-bit words, one mixing step
+// per word on each lane: the solver name (as its Hash64 digest), its
+// config_digest, num_vars, the offset's bits, two words per canonical term
+// — the packed (i << 32) | j, then the weight's bits — and the options.
+// The packing bounds num_vars below 2^32 (a larger model is refused).
+//
+// These digests are the keys of every persisted cache file
+// (tests/data/golden_fingerprints.txt pins them): changing the stream
+// re-keys the cache, so a file written before still loads but never hits.
 
 #include <cstddef>
 #include <cstdint>

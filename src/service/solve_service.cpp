@@ -940,7 +940,12 @@ JobHandle SolveService::submit(solvers::SolverPtr solver,
                                SubmitOptions submit) {
   QROSS_REQUIRE(solver != nullptr, "solver required");
   QROSS_REQUIRE(options.num_replicas > 0, "num_replicas must be at least 1");
-  const Fingerprint key = fingerprint_job(*solver, model, options);
+  const Fingerprint key = [&] {
+    // The job id is assigned under the lock below, so the span carries only
+    // the trace id.
+    obs::ScopedSpan span("fingerprint", "service", 0, submit.trace_id);
+    return fingerprint_job(*solver, model, options);
+  }();
   auto job = std::make_shared<detail::JobState>();
   job->priority = submit.priority;
   job->deadline = submit.deadline;

@@ -6,9 +6,9 @@
 // one byte at a time; the golden tests in io_test and net_test encode these
 // same inputs with the current codecs and compare byte for byte, so a codec
 // change that alters the wire format or existing cache files fails loudly.
-// fingerprint_models() feeds golden_fingerprints.txt, written by the build
-// that still stored QuboModel as a dense matrix: the cache keys of every
-// persisted journal depend on those digests.
+// fingerprint_models() feeds golden_fingerprints.txt, written by the
+// word-at-a-time fingerprint stream: the cache keys of every persisted
+// journal depend on those digests.
 //
 // Never edit these values: the committed bytes depend on every one of them.
 // Add new fixtures instead, with their own committed bytes.

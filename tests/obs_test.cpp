@@ -438,6 +438,50 @@ TEST(ServiceTrace, JobLifecycleIsStitchedByJobAndTraceId) {
   std::filesystem::remove(cache_path + ".journal");
 }
 
+// Every submit computes its cache key before it takes the service lock — a
+// cache hit too — and the span carries the submit's trace id.
+TEST(ServiceTrace, EverySubmitRecordsAFingerprintSpan) {
+  RecorderGuard guard;
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.enable(obs::TraceRecorder::kDefaultCapacity);
+
+  constexpr std::uint64_t kTraceId = 0xF1F2F3;
+  {
+    service::ServiceConfig config;
+    config.num_workers = 1;
+    service::SolveService svc(config);
+    const auto model = mvc::generate_random_mvc(24, 0.12, 98).to_qubo(2.0);
+    solvers::SolveOptions options;
+    options.num_replicas = 2;
+    options.num_sweeps = 10;
+    service::SubmitOptions submit;
+    submit.trace_id = kTraceId;
+    const auto solver = std::make_shared<solvers::SimulatedAnnealer>();
+    ASSERT_EQ(svc.submit(solver, model, options, submit).wait().status,
+              service::JobStatus::done);
+    const auto hit = svc.submit(solver, model, options, submit).wait();
+    ASSERT_EQ(hit.status, service::JobStatus::done);
+    EXPECT_TRUE(hit.cache_hit);
+  }
+  recorder.disable();
+
+  std::vector<obs::TraceEvent> spans;
+  std::uint64_t first_submit_ns = 0;
+  for (const auto& ev : recorder.snapshot()) {
+    const std::string_view name(ev.name);
+    if (name == "fingerprint") spans.push_back(ev);
+    if (name == "submit" && first_submit_ns == 0) first_submit_ns = ev.ts_ns;
+  }
+  ASSERT_EQ(spans.size(), 2u);
+  for (const auto& span : spans) {
+    EXPECT_EQ(std::string_view(span.cat), "service");
+    EXPECT_EQ(span.kind, obs::EventKind::span);
+    EXPECT_EQ(span.a1, kTraceId);
+  }
+  EXPECT_LE(spans[0].ts_ns + spans[0].dur_ns, first_submit_ns)
+      << "the key is computed before the submit is admitted";
+}
+
 // Tracing disabled must also keep the service silent: no events leak from an
 // instrumented run when the recorder is off.
 TEST(ServiceTrace, DisabledTracingRecordsNoServiceEvents) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -257,10 +258,10 @@ TEST(FingerprintTest, OptionsAndSolverIdentity) {
             fingerprint_job(*da, model, options));
 }
 
-// Cache keys pinned to golden_fingerprints.txt, written while QuboModel was
-// a dense matrix.  Every persisted CacheStore journal is keyed by these
-// digests, and warm-start tests cannot notice a changed key because both of
-// their processes run the same build.
+// Cache keys pinned to golden_fingerprints.txt, written by the word-at-a-time
+// stream.  Every persisted CacheStore journal is keyed by these digests, and
+// warm-start tests cannot notice a changed key because both of their
+// processes run the same build.
 TEST(FingerprintTest, MatchesGoldenFingerprints) {
   const auto golden = testing::golden::read_hex_table(
       std::string(QROSS_TEST_DATA_DIR) + "/golden_fingerprints.txt");
@@ -286,6 +287,134 @@ TEST(FingerprintTest, MatchesGoldenFingerprints) {
     EXPECT_EQ(hex(fingerprint_job(sa, model, options)),
               golden.at(name + ".sa"));
   }
+}
+
+// Properties of the word stream: nearby models must not collide.  A model is
+// rebuilt from an explicit term list, so every variant below is exactly the
+// canonical model it describes.
+struct Coef {
+  std::size_t i;
+  std::size_t j;
+  double w;
+};
+
+struct TermList {
+  std::size_t num_vars = 0;
+  double offset = 0.0;
+  std::vector<Coef> terms;
+
+  explicit TermList(const qubo::QuboModel& model)
+      : num_vars(model.num_vars()), offset(model.offset()) {
+    model.for_each_term([&](std::size_t i, std::size_t j, double w) {
+      terms.push_back({i, j, w});
+    });
+  }
+
+  qubo::QuboModel build() const {
+    qubo::QuboModel model(num_vars);
+    model.set_offset(offset);
+    for (const Coef& t : terms) model.add_term(t.i, t.j, t.w);
+    return model;
+  }
+
+  // Bit-exact identity of the canonical model (what the key must capture).
+  std::vector<std::uint64_t> canonical() const {
+    std::vector<std::uint64_t> out{num_vars,
+                                   std::bit_cast<std::uint64_t>(offset)};
+    for (const Coef& t : terms) {
+      out.insert(out.end(), {t.i, t.j, std::bit_cast<std::uint64_t>(t.w)});
+    }
+    return out;
+  }
+};
+
+/// Collects fingerprints and fails when two different models share one.
+class CollisionCheck {
+ public:
+  /// True when `variant` got a fingerprint no other model has.
+  bool add(const TermList& variant) {
+    const Fingerprint fp = fingerprint_model(variant.build());
+    const auto [it, fresh] =
+        seen_.emplace(std::pair(fp.hi, fp.lo), variant.canonical());
+    EXPECT_TRUE(fresh || it->second == variant.canonical())
+        << "two different models share a fingerprint";
+    return fresh;
+  }
+
+ private:
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::uint64_t>>
+      seen_;
+};
+
+qubo::QuboModel tsp_model() {
+  return tsp::build_tsp_problem(tsp::generate_uniform(6, 0xF1)).to_qubo(10.0);
+}
+
+TEST(FingerprintTest, SeparatesSignFlipsSwapsAndMovedWeights) {
+  const TermList base(tsp_model());
+  ASSERT_GT(base.terms.size(), 100u);
+  CollisionCheck check;
+  ASSERT_TRUE(check.add(base));
+  std::size_t moved = 0;
+  for (std::size_t k = 0; k + 1 < base.terms.size(); ++k) {
+    // Both sign bits flipped: an xor-only stream would cancel them.
+    TermList flipped = base;
+    flipped.terms[k].w = -flipped.terms[k].w;
+    flipped.terms[k + 1].w = -flipped.terms[k + 1].w;
+    EXPECT_TRUE(check.add(flipped)) << "sign flips at term " << k;
+
+    // Two terms' weights swapped (a no-op when they are equal).
+    if (base.terms[k].w != base.terms[k + 1].w) {
+      TermList swapped = base;
+      std::swap(swapped.terms[k].w, swapped.terms[k + 1].w);
+      check.add(swapped);  // may equal a flip variant; the check knows
+    }
+
+    // One weight moved to the next cell of its row that holds none.
+    const Coef& t = base.terms[k];
+    const std::size_t next_col = base.terms[k + 1].i == t.i
+                                     ? base.terms[k + 1].j
+                                     : base.num_vars;
+    if (t.j + 1 < next_col) {
+      TermList moved_to = base;
+      moved_to.terms[k].j = t.j + 1;
+      EXPECT_TRUE(check.add(moved_to)) << "weight moved from term " << k;
+      ++moved;
+    }
+  }
+  EXPECT_GT(moved, 0u);
+}
+
+TEST(FingerprintTest, SeparatesWeightsThatDifferInTheSignOrExponentBits) {
+  const TermList base(testing::golden::model());
+  CollisionCheck check;
+  ASSERT_TRUE(check.add(base));
+  for (std::size_t k = 0; k < base.terms.size(); ++k) {
+    for (int bit = 52; bit < 64; ++bit) {  // the exponent, then the sign
+      TermList variant = base;
+      variant.terms[k].w = std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(variant.terms[k].w) ^
+          (std::uint64_t{1} << bit));
+      EXPECT_TRUE(check.add(variant)) << "term " << k << " bit " << bit;
+    }
+  }
+}
+
+TEST(FingerprintTest, SeparatesNumVarsAndTheSignOfAZeroOffset) {
+  const TermList base(testing::golden::model());
+  TermList wider = base;
+  ++wider.num_vars;
+  EXPECT_NE(fingerprint_model(base.build()), fingerprint_model(wider.build()));
+
+  TermList positive = base;
+  positive.offset = 0.0;
+  TermList negative = base;
+  negative.offset = -0.0;
+  EXPECT_NE(fingerprint_model(positive.build()),
+            fingerprint_model(negative.build()));
+  const solvers::SimulatedAnnealer sa;
+  EXPECT_NE(fingerprint_job(sa, positive.build(), small_options()),
+            fingerprint_job(sa, negative.build(), small_options()));
 }
 
 // --- result cache -----------------------------------------------------------
