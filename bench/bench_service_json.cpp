@@ -17,8 +17,8 @@
 //
 //   ./bench_service_json [--out-dir DIR] [--check BASELINE_DIR]
 //
-// --check is the CI perf-regression gate: after measuring, the fresh
-// results are compared against the committed BENCH_sweep.json in
+// --check is the CI perf-regression gate: after measuring and before
+// writing either file, the fresh results are compared against the committed BENCH_sweep.json in
 // BASELINE_DIR and the run fails (exit 1) only when a workload's sparse
 // SPEEDUP (sparse/dense flips per second — the hardware-normalized form of
 // sweep throughput, so a slower CI runner cancels out of the ratio)
@@ -28,7 +28,7 @@
 // only when the running CPU has AVX2 — on a scalar-only box the ratio is
 // recorded as 0 and skipped.  Absolute throughputs and service jobs/s
 // deltas are reported but never gate (they track the machine, not the
-// code).
+// code).  A failing run writes nothing, so --out-dir may name BASELINE_DIR.
 
 #include <algorithm>
 #include <chrono>
@@ -512,7 +512,6 @@ int main(int argc, char** argv) {
     const auto problem = tsp::build_tsp_problem(instance);
     rows.push_back(measure_workload("tsp", problem.to_qubo(25.0), kBudget));
   }
-  write_sweep_json(out_dir + "/BENCH_sweep.json", rows);
 
   // --- service throughput: jobs/sec at queue depth >= 4 workers -----------
   constexpr std::size_t kWorkers = 4;
@@ -808,6 +807,21 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(combiner_stats.rows),
                static_cast<unsigned long long>(combiner_stats.max_rows_per_pass));
 
+  // The gate runs before either file is written: --out-dir may name the
+  // --check directory, and a failed run must leave the baseline as it was.
+  if (!baseline_dir.empty()) {
+    const int regressions =
+        check_against_baseline(baseline_dir, rows, cold.jobs_per_sec);
+    if (regressions > 0) {
+      std::fprintf(stderr,
+                   "perf gate: %d speedup regression(s) beyond %.0f%%\n",
+                   regressions, 100.0 * kSweepRegressionTolerance);
+      return 1;
+    }
+    std::fprintf(stderr, "perf gate: ok\n");
+  }
+
+  write_sweep_json(out_dir + "/BENCH_sweep.json", rows);
   const std::string path = out_dir + "/BENCH_service.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -889,17 +903,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-
-  if (!baseline_dir.empty()) {
-    const int regressions =
-        check_against_baseline(baseline_dir, rows, cold.jobs_per_sec);
-    if (regressions > 0) {
-      std::fprintf(stderr,
-                   "perf gate: %d speedup regression(s) beyond %.0f%%\n",
-                   regressions, 100.0 * kSweepRegressionTolerance);
-      return 1;
-    }
-    std::fprintf(stderr, "perf gate: ok\n");
-  }
   return 0;
 }

@@ -3,15 +3,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "problems/tsp/generators.hpp"
 #include "problems/tsp/heuristics.hpp"
 #include "problems/tsp/testset.hpp"
 #include "qross/session.hpp"
-#include "qross/strategies.hpp"
 #include "solvers/digital_annealer.hpp"
 #include "solvers/qbsolv.hpp"
 #include "solvers/simulated_annealer.hpp"
@@ -128,10 +131,58 @@ std::vector<tsp::TspInstance> tsplib_test_instances(
   return instances;
 }
 
+std::uint64_t inputs_digest(const solvers::QuboSolver& solver,
+                            const solvers::SolveOptions& options,
+                            const ExperimentConfig& config,
+                            const core::ComposedStrategy::Config& strategy,
+                            std::uint64_t revision) {
+  Hash64 h;
+  h.mix(revision).mix(solver.config_digest());
+  h.mix(std::uint64_t{options.num_replicas})
+      .mix(std::uint64_t{options.num_sweeps})
+      .mix(options.seed);
+  h.mix(std::uint64_t{config.train_instances})
+      .mix(std::uint64_t{config.test_instances})
+      .mix(std::uint64_t{config.min_cities})
+      .mix(std::uint64_t{config.max_cities})
+      .mix(config.dataset_seed)
+      .mix(config.a_min)
+      .mix(config.a_max)
+      .mix(std::uint64_t{config.trials})
+      .mix(config.infeasible_gap)
+      .mix(std::uint64_t{config.fast});
+  const surrogate::SweepConfig& sweep = config.sweep;
+  h.mix(std::uint64_t{sweep.slope_points})
+      .mix(std::uint64_t{sweep.plateau_points})
+      .mix(sweep.initial_guess_factor)
+      .mix(sweep.a_min)
+      .mix(sweep.a_max)
+      .mix(std::uint64_t{sweep.max_bound_steps})
+      .mix(std::uint64_t{sweep.bisection_steps});
+  h.mix(std::uint64_t{strategy.pbs_targets.size()});
+  for (const double target : strategy.pbs_targets) h.mix(target);
+  h.mix(std::uint64_t{strategy.min_fitness.panels})
+      .mix(strategy.min_fitness.tail_sigmas)
+      .mix(strategy.min_fitness.pf_floor)
+      .mix(strategy.min_fitness.risk_aversion)
+      .mix(strategy.ofs.epsilon)
+      .mix(std::uint64_t{strategy.ofs.min_history});
+  return h.digest();
+}
+
+std::string inputs_key(SolverKind kind, const ExperimentConfig& config) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    inputs_digest(*make_solver(kind), make_solve_options(kind),
+                                  config, core::ComposedStrategy::Config{})));
+  return hex;
+}
+
 surrogate::Dataset get_or_build_dataset(const Cache& cache, SolverKind kind,
                                         const ExperimentConfig& config) {
-  const std::string key = "dataset_" + solver_label(kind) +
-                          (config.fast ? "_fast" : "") + ".csv";
+  const std::string key =
+      "dataset_" + solver_label(kind) + "_" + inputs_key(kind, config) + ".csv";
   if (const auto cached = cache.read(key); cached.has_value()) {
     std::istringstream ss(*cached);
     return surrogate::Dataset::load_csv(ss);
@@ -151,8 +202,8 @@ surrogate::Dataset get_or_build_dataset(const Cache& cache, SolverKind kind,
 
 surrogate::SolverSurrogate get_or_train_surrogate(
     const Cache& cache, SolverKind kind, const ExperimentConfig& config) {
-  const std::string key = "surrogate_" + solver_label(kind) +
-                          (config.fast ? "_fast" : "") + ".txt";
+  const std::string key = "surrogate_" + solver_label(kind) + "_" +
+                          inputs_key(kind, config) + ".txt";
   if (const auto cached = cache.read(key); cached.has_value()) {
     std::istringstream ss(*cached);
     return surrogate::SolverSurrogate::load(ss);
@@ -170,79 +221,73 @@ surrogate::SolverSurrogate get_or_train_surrogate(
 
 std::vector<double> run_method_on_instance(
     Method method, const tsp::TspInstance& instance,
-    const surrogate::SolverSurrogate* surrogate, SolverKind solver_kind,
+    const core::QrossTuner* tuner, SolverKind solver_kind,
     const ExperimentConfig& config, std::uint64_t seed) {
-  const surrogate::PreparedTspInstance prepared(instance);
-  const auto features = surrogate::extract_features(prepared.prepared());
-  const double anchor = surrogate::scale_anchor(features);
   const double reference = tsp::reference_solution(instance).length;
   QROSS_ASSERT(reference > 0.0);
-
-  auto options = make_solve_options(solver_kind, derive_seed(seed, 0xca11));
-  solvers::BatchRunner runner(prepared.problem(), make_solver(solver_kind),
-                              options);
-
-  core::ProposeFn propose;
-  core::ObserveFn observe;
-
-  // Strategy / tuner state lives for the duration of the loop.
-  core::ComposedStrategy strategy(derive_seed(seed, 1));
-  core::StrategyContext context;
-  std::unique_ptr<tuning::Tuner> tuner;
-  // Baselines see the batch's best fitness, or this finite stand-in when
-  // the whole batch was infeasible (≈ "twice a random-ish tour").
-  const double infeasible_value = 4.0 * anchor;
+  // One gap definition for every method, the facade's: the best feasible
+  // tour so far, decoded and re-scored on the original matrix (appendix E).
+  std::vector<double> gaps;
+  const auto push_gap = [&](double best_length) {
+    gaps.push_back(std::isfinite(best_length)
+                       ? std::max(best_length / reference - 1.0, 0.0)
+                       : config.infeasible_gap);
+  };
 
   if (method == Method::kQross) {
-    QROSS_REQUIRE(surrogate != nullptr, "QROSS needs a surrogate");
-    context.surrogate = surrogate;
-    context.features = features;
-    context.anchor = anchor;
-    context.a_min = config.a_min;
-    context.a_max = config.a_max;
-    context.batch_size = options.num_replicas;
-    propose = [&strategy, &context] { return strategy.propose(context); };
-    observe = [&strategy](const solvers::SolverSample& sample) {
-      strategy.observe(sample);
-    };
-  } else {
-    switch (method) {
-      case Method::kTpe:
-        tuner = std::make_unique<tuning::TpeTuner>(config.a_min, config.a_max,
-                                                   derive_seed(seed, 2));
-        break;
-      case Method::kBo:
-        tuner = std::make_unique<tuning::BayesOptTuner>(
-            config.a_min, config.a_max, derive_seed(seed, 3));
-        break;
-      case Method::kRandom:
-        tuner = std::make_unique<tuning::RandomSearch>(
-            config.a_min, config.a_max, derive_seed(seed, 4));
-        break;
-      default:
-        QROSS_ASSERT_MSG(false, "unhandled method");
+    QROSS_REQUIRE(tuner != nullptr, "QROSS needs a tuner");
+    core::TuneOptions options;
+    options.trials = config.trials;
+    options.a_min = config.a_min;
+    options.a_max = config.a_max;
+    options.seed = seed;
+    for (const auto& trial :
+         tuner->tune(instance, make_solver(solver_kind), options).trials) {
+      push_gap(trial.best_length_so_far);
     }
-    auto* tuner_ptr = tuner.get();
-    propose = [tuner_ptr] { return tuner_ptr->propose(); };
-    observe = [tuner_ptr, infeasible_value](const solvers::SolverSample& s) {
-      tuner_ptr->observe({s.relaxation_parameter,
-                          tuning::finite_objective(s.stats.min_fitness,
-                                                   infeasible_value)});
-    };
+    return gaps;
   }
 
-  const core::TuningResult result =
-      core::run_tuning_loop(runner, config.trials, propose, observe);
-
-  std::vector<double> gaps;
-  gaps.reserve(result.best_fitness.size());
-  for (double best : result.best_fitness) {
-    if (std::isfinite(best)) {
-      const double original = prepared.to_original_length(best);
-      gaps.push_back(std::max(original / reference - 1.0, 0.0));
-    } else {
-      gaps.push_back(config.infeasible_gap);
+  std::unique_ptr<tuning::Tuner> baseline;
+  switch (method) {
+    case Method::kTpe:
+      baseline = std::make_unique<tuning::TpeTuner>(config.a_min, config.a_max,
+                                                    derive_seed(seed, 2));
+      break;
+    case Method::kBo:
+      baseline = std::make_unique<tuning::BayesOptTuner>(
+          config.a_min, config.a_max, derive_seed(seed, 3));
+      break;
+    case Method::kRandom:
+      baseline = std::make_unique<tuning::RandomSearch>(
+          config.a_min, config.a_max, derive_seed(seed, 4));
+      break;
+    default:
+      QROSS_ASSERT_MSG(false, "unhandled method");
+  }
+  const surrogate::PreparedTspInstance prepared(instance);
+  // Baselines see the batch's best fitness, or this finite stand-in when
+  // the whole batch was infeasible (≈ "twice a random-ish tour").
+  const double infeasible_value =
+      4.0 * surrogate::scale_anchor(
+                surrogate::extract_features(prepared.prepared()));
+  solvers::BatchRunner runner(
+      prepared.problem(), make_solver(solver_kind),
+      make_solve_options(solver_kind, derive_seed(seed, 0xca11)));
+  const core::TuningResult result = core::run_tuning_loop(
+      runner, config.trials, [&] { return baseline->propose(); },
+      [&](const solvers::SolverSample& s) {
+        baseline->observe({s.relaxation_parameter,
+                           tuning::finite_objective(s.stats.min_fitness,
+                                                    infeasible_value)});
+      });
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& sample : result.samples) {
+    if (sample.stats.has_feasible()) {
+      best = std::min(best,
+                      prepared.original_tour_length(*sample.stats.best_feasible));
     }
+    push_gap(best);
   }
   return gaps;
 }
@@ -283,11 +328,13 @@ GapSeries get_or_run_comparison(const Cache& cache, Method method,
                                 const std::string& instance_set,
                                 const ExperimentConfig& config) {
   std::string key = "traj_" + method_label(method) + "_" +
-                    solver_label(solver_kind) + "_" + instance_set;
+                    solver_label(solver_kind) + "_" + instance_set + "_" +
+                    inputs_key(solver_kind, config);
   if (method == Method::kQross && surrogate_kind != solver_kind) {
-    key += "_xsurr-" + solver_label(surrogate_kind);
+    key += "_xsurr-" + solver_label(surrogate_kind) + "_" +
+           inputs_key(surrogate_kind, config);
   }
-  key += (config.fast ? "_fast" : "") + std::string(".csv");
+  key += ".csv";
   if (const auto cached = cache.read(key); cached.has_value()) {
     return GapSeries::from_csv(*cached);
   }
@@ -301,9 +348,10 @@ GapSeries get_or_run_comparison(const Cache& cache, Method method,
     QROSS_REQUIRE(false, "unknown instance set: " + instance_set);
   }
 
-  surrogate::SolverSurrogate surrogate;
+  std::optional<core::QrossTuner> tuner;
   if (method == Method::kQross) {
-    surrogate = get_or_train_surrogate(cache, surrogate_kind, config);
+    tuner.emplace(get_or_train_surrogate(cache, surrogate_kind, config),
+                  make_solve_options(solver_kind));
   }
 
   std::fprintf(stderr, "[bench] running %s on %s/%s (%zu instances x %zu trials)\n",
@@ -318,8 +366,7 @@ GapSeries get_or_run_comparison(const Cache& cache, Method method,
                                 (static_cast<std::uint64_t>(solver_kind) << 16) |
                                 i);
     per_instance.push_back(run_method_on_instance(
-        method, instances[i],
-        method == Method::kQross ? &surrogate : nullptr, solver_kind, config,
+        method, instances[i], tuner ? &*tuner : nullptr, solver_kind, config,
         seed));
   }
 

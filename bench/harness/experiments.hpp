@@ -2,7 +2,12 @@
 
 // Shared experiment machinery for the benchmark binaries: solver
 // construction with per-experiment budgets, dataset/surrogate caching, the
-// tuning-comparison loop, and gap-trajectory aggregation.
+// tuning comparison, and gap-trajectory aggregation.
+//
+// Every method tunes through core::run_tuning_loop, the one trial loop:
+// QROSS through QrossTuner::tune, the path the daemon serves, and the
+// baselines through their own tuning::Tuner proposer.  Every gap is the
+// best feasible tour so far, decoded and re-scored on the original matrix.
 //
 // Every knob that differs from the paper is scaled down for single-core
 // execution; EXPERIMENTS.md records the mapping.  Set QROSS_FAST=1 to run a
@@ -15,6 +20,7 @@
 
 #include "harness/cache.hpp"
 #include "problems/tsp/instance.hpp"
+#include "qross/facade.hpp"
 #include "solvers/solver.hpp"
 #include "surrogate/dataset.hpp"
 #include "surrogate/model.hpp"
@@ -86,12 +92,33 @@ surrogate::Dataset get_or_build_dataset(const Cache& cache, SolverKind kind,
 surrogate::SolverSurrogate get_or_train_surrogate(
     const Cache& cache, SolverKind kind, const ExperimentConfig& config);
 
+/// Bumped whenever the harness changes how it produces a cached artifact,
+/// so a rerun never reprints what an older harness wrote.  Revision 2: QROSS
+/// runs through QrossTuner::tune and every gap re-scores a decoded tour.
+inline constexpr std::uint64_t kHarnessRevision = 2;
+
+/// Digest of every input that produces a cached artifact: the solver's
+/// config_digest, its solve options, the experiment config (sweep
+/// included), the composed strategy's config and the harness revision.
+std::uint64_t inputs_digest(const solvers::QuboSolver& solver,
+                            const solvers::SolveOptions& options,
+                            const ExperimentConfig& config,
+                            const core::ComposedStrategy::Config& strategy,
+                            std::uint64_t revision = kHarnessRevision);
+
+/// inputs_digest of `kind`'s bench solver and solve options under the
+/// default composed strategy, as 16 hex digits: the part of every
+/// qross_cache/ key that names what produced the file.
+std::string inputs_key(SolverKind kind, const ExperimentConfig& config);
+
 /// Normalised-gap trajectory of one method on one instance:
 /// gap[t] = best-feasible original tour length after trial t / reference - 1
-/// (config.infeasible_gap while nothing feasible has been seen).
+/// (config.infeasible_gap while nothing feasible has been seen).  QROSS
+/// needs `tuner` and reads each trial's best_length_so_far from
+/// tuner->tune(); the baselines ignore it.
 std::vector<double> run_method_on_instance(
     Method method, const tsp::TspInstance& instance,
-    const surrogate::SolverSurrogate* surrogate, SolverKind solver_kind,
+    const core::QrossTuner* tuner, SolverKind solver_kind,
     const ExperimentConfig& config, std::uint64_t seed);
 
 /// Mean gap per trial with a 95% confidence half-width, across instances.

@@ -7,14 +7,16 @@
 //
 // Sized to run in well under a minute on one core.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "problems/tsp/generators.hpp"
 #include "problems/tsp/heuristics.hpp"
+#include "qross/facade.hpp"
 #include "qross/session.hpp"
-#include "qross/strategies.hpp"
 #include "solvers/batch_runner.hpp"
 #include "solvers/qbsolv.hpp"
 #include "surrogate/dataset.hpp"
@@ -57,50 +59,44 @@ int main() {
   // -- 3. Tune a fresh instance. -------------------------------------------
   std::printf("[3/3] tuning a new instance...\n");
   const auto instance = tsp::generate_uniform(9, 0xF0E5);
-  const surrogate::PreparedTspInstance prepared(instance);
-  const auto features = surrogate::extract_features(prepared.prepared());
   const double reference = tsp::reference_solution(instance).length;
-
-  core::StrategyContext context;
-  context.surrogate = &surrogate;
-  context.features = features;
-  context.anchor = surrogate::scale_anchor(features);
-  context.a_min = 1.0;
-  context.a_max = 100.0;
-  context.batch_size = options.num_replicas;
+  const core::QrossTuner tuner(std::move(surrogate), options);
 
   // Offline proposals — zero solver calls so far.
-  const core::MinimumFitnessStrategy mfs;
-  const core::PfBasedStrategy pbs90(0.9);
   std::printf("      offline proposals: MFS A = %.1f, PBS(90%%) A = %.1f\n",
-              mfs.propose(context), pbs90.propose(context));
+              tuner.propose(instance), tuner.propose(instance, 0.9));
 
   // Composed strategy for 8 trials vs random search with the same budget.
   const std::size_t trials = 8;
+  const auto report = [&](const char* label, double best) {
+    if (std::isfinite(best)) {
+      std::printf("      %-16s best tour %.2f (gap %+.2f%%)\n", label, best,
+                  100.0 * (best / reference - 1.0));
+    } else {
+      std::printf("      %-16s no feasible solution in %zu trials\n", label,
+                  trials);
+    }
+  };
   {
-    solvers::BatchRunner runner(prepared.problem(), solver, options);
-    core::ComposedStrategy strategy(2718);
-    const auto result = core::run_tuning_loop(
-        runner, trials, [&] { return strategy.propose(context); },
-        [&](const solvers::SolverSample& s) { strategy.observe(s); });
-    const double best = prepared.to_original_length(result.best_fitness.back());
-    std::printf("      QROSS composed:  best tour %.2f (gap %+.2f%%)\n", best,
-                100.0 * (best / reference - 1.0));
+    core::TuneOptions tune;
+    tune.trials = trials;
+    tune.seed = 2718;
+    report("QROSS composed:", tuner.tune(instance, solver, tune).best_length);
   }
   {
+    const surrogate::PreparedTspInstance prepared(instance);
     solvers::BatchRunner runner(prepared.problem(), solver, options);
     tuning::RandomSearch random(1.0, 100.0, 2718);
     const auto result =
         core::run_tuning_loop(runner, trials, [&] { return random.propose(); });
-    if (std::isfinite(result.best_fitness.back())) {
-      const double best =
-          prepared.to_original_length(result.best_fitness.back());
-      std::printf("      random search:   best tour %.2f (gap %+.2f%%)\n",
-                  best, 100.0 * (best / reference - 1.0));
-    } else {
-      std::printf("      random search:   no feasible solution in %zu trials\n",
-                  trials);
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& sample : result.samples) {
+      if (sample.stats.has_feasible()) {
+        best = std::min(
+            best, prepared.original_tour_length(*sample.stats.best_feasible));
+      }
     }
+    report("random search:", best);
   }
   std::printf("      (reference 2-opt tour: %.2f)\n", reference);
   return 0;

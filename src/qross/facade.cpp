@@ -143,31 +143,16 @@ TuneOutcome QrossTuner::tune(const tsp::TspInstance& instance,
     }
     return composed.propose(context);
   };
-  const auto observe = [&](const solvers::SolverSample& sample) {
-    switch (options.mode) {
-      case TuneStrategyKind::mfs:
-      case TuneStrategyKind::pbs:
-        break;  // offline strategies consume no feedback
-      case TuneStrategyKind::ofs:
-        ofs.observe(sample);
-        break;
-      case TuneStrategyKind::composed:
-        composed.observe(sample);
-        break;
-    }
-  };
-
+  // The facade's part of each trial: strategy feedback, tour decode, best
+  // tour and the progress event.
   TuneOutcome outcome;
   outcome.best_length = std::numeric_limits<double>::infinity();
-  for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    if (options.stop.stop_requested()) {
-      outcome.cancelled = true;
-      break;
-    }
-    const double a = propose();
-    const solvers::SolverSample sample = runner.run(a);
-    observe(sample);
+  const auto observe = [&](const solvers::SolverSample& sample) {
+    // The offline strategies (mfs, pbs) consume no feedback.
+    if (options.mode == TuneStrategyKind::composed) composed.observe(sample);
+    if (options.mode == TuneStrategyKind::ofs) ofs.observe(sample);
 
+    const double a = sample.relaxation_parameter;
     if (sample.stats.has_feasible()) {
       const auto tour =
           tsp::decode_tour(prepared.prepared(), *sample.stats.best_feasible);
@@ -179,29 +164,22 @@ TuneOutcome QrossTuner::tune(const tsp::TspInstance& instance,
         outcome.best_parameter = a;
       }
     }
-    outcome.trials.push_back(
-        {a, sample.stats.pf,
-         outcome.feasible() ? outcome.best_length
-                            : std::numeric_limits<double>::infinity()});
+    outcome.trials.push_back({a, sample.stats.pf, outcome.best_length});
     if (options.on_trial) {
-      TuneTrialEvent event;
-      event.index = trial;
-      event.total = options.trials;
-      event.relaxation_parameter = a;
-      event.pf = sample.stats.pf;
-      event.energy_avg = sample.stats.energy_avg;
-      event.energy_std = sample.stats.energy_std;
-      event.best_length = outcome.feasible()
-                              ? outcome.best_length
-                              : std::numeric_limits<double>::infinity();
-      event.feasible = outcome.feasible();
-      options.on_trial(event);
+      options.on_trial({.index = outcome.trials.size() - 1,
+                        .total = options.trials,
+                        .relaxation_parameter = a,
+                        .pf = sample.stats.pf,
+                        .energy_avg = sample.stats.energy_avg,
+                        .energy_std = sample.stats.energy_std,
+                        .best_length = outcome.best_length,
+                        .feasible = outcome.feasible()});
     }
-  }
-  if (options.stop.stop_requested() &&
-      outcome.trials.size() < options.trials) {
-    outcome.cancelled = true;
-  }
+  };
+
+  outcome.cancelled =
+      run_tuning_loop(runner, options.trials, propose, observe, options.stop)
+          .cancelled;
   return outcome;
 }
 

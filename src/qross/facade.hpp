@@ -6,6 +6,13 @@
 // context, composed proposal schedule, solver session) behind the API most
 // applications want; the lower-level pieces remain available for custom
 // workflows.
+//
+// tune() runs its trials on core::run_tuning_loop, the one trial loop (see
+// session.hpp).  The facade adds only what is its own: the strategy for the
+// mode, routing through a SolveService, and an observer that decodes each
+// trial's best feasible tour, keeps the best one and reports on_trial.
+// SubmitTune, TuneService, `qross_cli tune` and the paper benches all tune
+// through this call.
 
 #include <cstdint>
 #include <functional>

@@ -215,8 +215,6 @@ void OnlineFittingStrategy::observe(const solvers::SolverSample& sample) {
 
 // ----------------------------------------------------------- Composed ----
 
-ComposedStrategy::ComposedStrategy() : ComposedStrategy(Config{}, 99) {}
-
 ComposedStrategy::ComposedStrategy(std::uint64_t seed)
     : ComposedStrategy(Config{}, seed) {}
 

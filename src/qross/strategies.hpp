@@ -130,7 +130,6 @@ class ComposedStrategy {
     OnlineFittingStrategy::Config ofs;
   };
 
-  ComposedStrategy();
   explicit ComposedStrategy(std::uint64_t seed);
   ComposedStrategy(Config config, std::uint64_t seed);
 

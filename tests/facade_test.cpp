@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "counting_solver.hpp"
 #include "qross/qross.hpp"  // umbrella header must compile standalone
@@ -186,6 +191,64 @@ TEST_F(FacadeTest, TuneWarmStartsFromDiskAcrossServiceInstances) {
   }
   std::filesystem::remove(cache_path);
   std::filesystem::remove(cache_path.string() + ".journal");
+}
+
+// --- golden trajectories ------------------------------------------------------
+
+std::string hex_bits(double value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(value)));
+  return buf;
+}
+
+// Every strategy mode on DA and SA, from the committed tuner file (so
+// surrogate training stays out of the pin), against per-trial (A, Pf, best
+// length) bits written by the facade's own trial loop before it moved onto
+// run_tuning_loop.
+TEST(FacadeGolden, TuneTrajectoriesMatchGoldenPin) {
+  std::ifstream tuner_file(std::string(QROSS_TEST_DATA_DIR) +
+                           "/golden_tuner.txt");
+  ASSERT_TRUE(tuner_file.good());
+  const QrossTuner tuner = QrossTuner::load(tuner_file);
+  const auto instance = tsp::generate_uniform(9, 0x7a11);
+
+  std::vector<std::string> lines;
+  for (const auto mode : {TuneStrategyKind::composed, TuneStrategyKind::mfs,
+                          TuneStrategyKind::pbs, TuneStrategyKind::ofs}) {
+    for (const std::string name : {"da", "sa"}) {
+      const solvers::SolverPtr solver =
+          name == "da" ? solvers::SolverPtr(
+                             std::make_shared<solvers::DigitalAnnealer>())
+                       : std::make_shared<solvers::SimulatedAnnealer>();
+      TuneOptions options;
+      options.trials = 6;
+      options.seed = 0x7a11;
+      options.mode = mode;
+      const TuneOutcome outcome = tuner.tune(instance, solver, options);
+      for (std::size_t t = 0; t < outcome.trials.size(); ++t) {
+        const auto& trial = outcome.trials[t];
+        lines.push_back(std::string(to_string(mode)) + '.' + name + '.' +
+                        std::to_string(t) + ' ' +
+                        hex_bits(trial.relaxation_parameter) + ' ' +
+                        hex_bits(trial.pf) + ' ' +
+                        hex_bits(trial.best_length_so_far));
+      }
+    }
+  }
+
+  std::ifstream golden(std::string(QROSS_TEST_DATA_DIR) +
+                       "/golden_tune_trajectories.txt");
+  ASSERT_TRUE(golden.good());
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(golden, line);) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), expected.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], expected[i]);
+  }
 }
 
 TEST(FacadeGuards, RejectsUntrainedAndBadInput) {

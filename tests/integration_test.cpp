@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "problems/tsp/generators.hpp"
 #include "problems/tsp/heuristics.hpp"
+#include "qross/facade.hpp"
 #include "qross/session.hpp"
 #include "qross/strategies.hpp"
 #include "solvers/qbsolv.hpp"
@@ -145,35 +146,23 @@ TEST_F(QrossPipeline, ComposedStrategyBeatsRandomOnAverage) {
   // claim, kept loose because this is a unit-test-sized budget.)
   double qross_total = 0.0;
   double random_total = 0.0;
+  solvers::SolveOptions options;
+  options.num_replicas = 8;
+  options.num_sweeps = 30;
+  const core::QrossTuner tuner(*surrogate_, options);
   for (int i = 0; i < 3; ++i) {
     const auto inst = tsp::generate_uniform(8, 7000 + i);
     const surrogate::PreparedTspInstance prepared(inst);
-    const auto features = surrogate::extract_features(prepared.prepared());
     const auto ref = tsp::reference_solution(inst);
-
-    core::StrategyContext context;
-    context.surrogate = surrogate_;
-    context.features = features;
-    context.anchor = surrogate::scale_anchor(features);
-    context.a_min = 1.0;
-    context.a_max = 100.0;
-    context.batch_size = 8;
-
-    solvers::SolveOptions options;
-    options.num_replicas = 8;
-    options.num_sweeps = 30;
     options.seed = 200 + i;
 
     {
-      solvers::BatchRunner runner(prepared.problem(), solver_, options);
-      core::ComposedStrategy strategy(static_cast<std::uint64_t>(i));
-      const auto result = core::run_tuning_loop(
-          runner, 6, [&] { return strategy.propose(context); },
-          [&](const solvers::SolverSample& s) { strategy.observe(s); });
-      const double best = result.best_fitness.back();
-      qross_total += std::isfinite(best)
-                         ? prepared.to_original_length(best) / ref.length
-                         : 4.0;
+      core::TuneOptions tune;
+      tune.trials = 6;
+      tune.seed = static_cast<std::uint64_t>(i);
+      const core::TuneOutcome outcome = tuner.tune(inst, solver_, tune);
+      qross_total +=
+          outcome.feasible() ? outcome.best_length / ref.length : 4.0;
     }
     {
       solvers::BatchRunner runner(prepared.problem(), solver_, options);

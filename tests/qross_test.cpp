@@ -408,5 +408,31 @@ TEST(Session, ObserverSeesEveryTrial) {
   EXPECT_EQ(observed, 4);
 }
 
+TEST(Session, StopTokenReturnsCompletedPrefix) {
+  const auto inst = tsp::generate_uniform(5, 73);
+  const surrogate::PreparedTspInstance prepared(inst);
+  solvers::SolveOptions options;
+  options.num_replicas = 4;
+  options.num_sweeps = 40;
+  solvers::BatchRunner runner(prepared.problem(),
+                              std::make_shared<solvers::SimulatedAnnealer>(),
+                              options);
+  const solvers::StopToken stop = solvers::StopToken::create();
+  std::size_t observed = 0;
+  const TuningResult result = run_tuning_loop(
+      runner, 6, [] { return 30.0; },
+      [&](const solvers::SolverSample&) {
+        if (++observed == 3) stop.request_stop();  // after trial 2 (0-based)
+      },
+      stop);
+  EXPECT_EQ(result.samples.size(), 3u);
+  EXPECT_EQ(result.best_fitness.size(), 3u);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(runner.num_calls(), 3u);
+
+  const TuningResult full = run_tuning_loop(runner, 2, [] { return 30.0; });
+  EXPECT_FALSE(full.cancelled);
+}
+
 }  // namespace
 }  // namespace qross::core
