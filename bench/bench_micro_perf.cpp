@@ -12,6 +12,8 @@
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "harness/dense_baseline.hpp"
+#include "io/snapshot.hpp"
+#include "net/protocol.hpp"
 #include "problems/mvc/mvc.hpp"
 #include "problems/tsp/formulation.hpp"
 #include "problems/tsp/generators.hpp"
@@ -294,6 +296,35 @@ void BM_FingerprintJob(benchmark::State& state) {
   state.counters["terms"] = static_cast<double>(model.num_nonzeros());
 }
 BENCHMARK(BM_FingerprintJob)->Arg(8)->Arg(12)->Arg(16);
+
+/// The record checksum of each version (range(0)) over a 64-B payload
+/// (range(1) = 0) or the SubmitJob payload of a cache-warm perfbench
+/// wire_batch job (range(1) = 1: 8-city TSP, da, 4 replicas x 30 sweeps).
+/// It runs twice per frame: when the sender frames it and when the
+/// receiver's FrameBuffer verifies it.
+void BM_RecordChecksum(benchmark::State& state) {
+  const auto version = static_cast<std::uint32_t>(state.range(0));
+  std::vector<std::uint8_t> payload;
+  if (state.range(1) == 0) {
+    Rng rng(64);
+    payload.resize(64);
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next());
+  } else {
+    net::SubmitJobFrame submit;
+    submit.tag = 1;
+    submit.num_replicas = 4;
+    submit.num_sweeps = 30;
+    submit.model = make_tsp_qubo(8);
+    payload = net::encode_submit(submit);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::record_checksum(version, payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(payload.size()) *
+                          state.iterations());
+  state.counters["bytes"] = static_cast<double>(payload.size());
+}
+BENCHMARK(BM_RecordChecksum)->ArgsProduct({{1, 2}, {0, 1}});
 
 void BM_FeatureExtraction(benchmark::State& state) {
   const auto instance =

@@ -1,12 +1,13 @@
 #pragma once
 
-// Deterministic 64-bit stream hasher (FNV-1a over bytes with a splitmix64
-// finaliser).  Defines the solvers' config_digest values and the io frame
-// checksum (checksum64), so its output is part of the wire and journal
-// bytes — NOT a cryptographic hash, and not stable across platforms with
-// different double representations (all supported targets are IEEE-754
-// little-endian).  The result-cache key has its own word-at-a-time stream
-// (service/fingerprint.cpp).
+// Deterministic 64-bit stream hashers.  Hash64 (FNV-1a over bytes with a
+// splitmix64 finaliser) defines the solvers' config_digest values and the
+// v1 record checksum (io::checksum64), so its output is part of the v1 wire
+// and journal bytes.  HashLane is the word-at-a-time step shared by the
+// result-cache key (service/fingerprint.cpp) and the v2 record checksum
+// (io::checksum64_v2).  NOT cryptographic hashes, and not stable across
+// platforms with different double representations (all supported targets
+// are IEEE-754 little-endian).
 //
 // Doubles are mixed via their bit pattern (std::bit_cast), so digests
 // distinguish values that compare equal but are distinct bit patterns only
@@ -28,6 +29,23 @@ constexpr std::uint64_t splitmix_finalize(std::uint64_t z) {
   z ^= z >> 31;
   return z;
 }
+
+/// One lane of a word stream.  Each step xors a 64-bit word into the state,
+/// multiplies by an odd constant and folds the high half back down with an
+/// xorshift; all three are bijections of the state, so no word can collapse
+/// it or cancel what came before.
+template <std::uint64_t kMul, int kShift>
+struct HashLane {
+  std::uint64_t state;
+
+  constexpr void mix(std::uint64_t word) {
+    state ^= word;
+    state *= kMul;
+    state ^= state >> kShift;
+  }
+
+  constexpr std::uint64_t digest() const { return splitmix_finalize(state); }
+};
 
 class Hash64 {
  public:

@@ -136,16 +136,25 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-/// Record checksum: the repo's deterministic 64-bit stream hash (Hash64,
-/// byte-wise FNV-1a with its own salt) over the payload bytes.  Its value
-/// is part of every wire frame and journal record.  Not cryptographic — it
-/// detects corruption, not tampering.
+/// The v1 record checksum: the repo's deterministic 64-bit stream hash
+/// (Hash64, byte-wise FNV-1a with its own salt) over the payload bytes.
+/// Its value is part of every v1 wire frame and snapshot record, and of the
+/// committed solver digests.  Not cryptographic — it detects corruption,
+/// not tampering.  Its one multiply per byte is one long dependency chain.
 inline std::uint64_t checksum64(std::span<const std::uint8_t> bytes) {
   return Hash64(0xC5C5C5C5C5C5C5C5ULL)
       .mix(std::string_view(reinterpret_cast<const char*>(bytes.data()),
                             bytes.size()))
       .digest();
 }
+
+/// The v2 record checksum.  The payload is read as little-endian 64-bit
+/// words, the last one zero-padded; word i feeds HashLane i % 4, so four
+/// independent multiply chains run side by side.  The four lane states and
+/// the byte length then fold through one more lane into splitmix_finalize.
+/// Each step is a bijection of its state, so changing any one word — any
+/// single byte — always changes the checksum.
+std::uint64_t checksum64_v2(std::span<const std::uint8_t> bytes);
 
 /// Reads an entire file into memory; nullopt when the file is missing or
 /// unreadable (both are "no data", never an error, at this layer).

@@ -22,7 +22,7 @@ std::vector<std::uint8_t> encode_entry(const CacheEntry& entry) {
   payload.f64(entry.run_ms);
   encode_batch(payload, *entry.batch);
   ByteWriter record;
-  write_record(record, kRecordCacheEntry, payload.bytes());
+  write_record(record, kRecordCacheEntry, payload.bytes(), kFormatVersion);
   return record.take();
 }
 
@@ -62,7 +62,8 @@ FileScan scan_file(const std::string& path) {
       return scan;
   }
   const ScanStats stats = scan_records(
-      reader, [&](std::uint32_t type, std::span<const std::uint8_t> payload) {
+      reader, scan.version,
+      [&](std::uint32_t type, std::span<const std::uint8_t> payload) {
         if (type != kRecordCacheEntry) return true;  // tolerated, not ours
         try {
           ByteReader in(payload);
@@ -173,7 +174,8 @@ bool CacheStore::repair_journal_tail_locked() {
   const auto bytes = read_file(journal_path());
   if (!bytes.has_value()) return true;  // no journal yet: nothing to repair
   ByteReader reader(*bytes);
-  switch (read_header(reader)) {
+  std::uint32_t version = 0;
+  switch (read_header(reader, &version)) {
     case HeaderStatus::future_version:
       // A newer build's journal: mixing our records into it could corrupt
       // data we cannot read.  Refuse to append rather than guess.
@@ -186,6 +188,13 @@ bool CacheStore::repair_journal_tail_locked() {
       return true;
     case HeaderStatus::ok:
       break;
+  }
+  if (version != kFormatVersion) {
+    // An older format's journal: its header fixes the checksum of every
+    // record in it, so ours must not follow.  Compaction folds it into a
+    // current-format snapshot and removes it; the append starts afresh.
+    compact_locked();
+    return !std::filesystem::exists(journal_path());
   }
   // Walk the framing to the end of the last complete record.  Checksums
   // are irrelevant here: a corrupt-but-fully-framed record still keeps the

@@ -93,8 +93,9 @@ class CacheStore {
 
   /// Appends one entry to the journal and flushes it to the OS.  The first
   /// append repairs a torn journal tail (crash recovery) so the new record
-  /// stays framed.  Returns false on I/O failure or a future-version
-  /// journal (the entry is then simply not persisted).
+  /// stays framed, and compacts an older format's journal into the snapshot
+  /// first, so no file mixes record formats.  Returns false on I/O failure
+  /// or a future-version journal (the entry is then simply not persisted).
   bool append(const CacheEntry& entry) EXCLUDES(m_);
 
   /// Merges snapshot + journal (newest record per key wins), applies the
@@ -113,8 +114,10 @@ class CacheStore {
   /// Truncates a torn tail off the journal before the first append of this
   /// store's lifetime, so post-crash appends stay framed (a record written
   /// after a torn tail would otherwise be unreadable and silently dropped
-  /// by the next compaction).  False = the journal must not be appended to
-  /// (written by a newer format version).
+  /// by the next compaction); an older format's journal is compacted away
+  /// instead.  False = the journal must not be appended to (written by a
+  /// newer format version, or an older one that compaction could not
+  /// remove).
   bool repair_journal_tail_locked() REQUIRES(m_);
 
   mutable Mutex m_;

@@ -51,17 +51,23 @@ HeaderStatus read_header(ByteReader& in, std::uint32_t* version) {
   return HeaderStatus::ok;
 }
 
+std::uint64_t record_checksum(std::uint32_t version,
+                              std::span<const std::uint8_t> payload) {
+  return version >= 2 ? checksum64_v2(payload) : checksum64(payload);
+}
+
 void write_record(ByteWriter& out, std::uint32_t type,
-                  std::span<const std::uint8_t> payload) {
+                  std::span<const std::uint8_t> payload,
+                  std::uint32_t version) {
   out.reserve(kRecordHeaderBytes + payload.size());
   out.u32(static_cast<std::uint32_t>(payload.size()));
   out.u32(type);
-  out.u64(checksum64(payload));
+  out.u64(record_checksum(version, payload));
   out.raw(payload);
 }
 
 ScanStats scan_records(
-    ByteReader& in,
+    ByteReader& in, std::uint32_t version,
     const std::function<bool(std::uint32_t type,
                              std::span<const std::uint8_t> payload)>& sink) {
   ScanStats stats;
@@ -80,7 +86,8 @@ ScanStats scan_records(
       break;
     }
     const auto payload = in.raw(size);
-    if (checksum64(payload) != expected || !sink(type, payload)) {
+    if (record_checksum(version, payload) != expected ||
+        !sink(type, payload)) {
       ++stats.skipped;
       continue;
     }

@@ -6,15 +6,19 @@
 // File layout (all integers little-endian, see io/binary.hpp):
 //
 //   header   8 B magic "QROSSNAP", u32 format version, u32 flags (reserved)
-//   record*  u32 payload size | u32 record type | u64 checksum64(payload)
-//            | payload bytes
+//   record*  u32 payload size | u32 record type
+//            | u64 record_checksum(version, payload) | payload bytes
 //
 // The format version is the compatibility contract: a reader rejects files
 // from a NEWER version outright (it cannot know what changed) but must keep
 // reading every older version it ever shipped.  Record types it does not
 // recognise are skipped, so old readers tolerate new record kinds within a
-// version.  This framing is deliberately transport-shaped — the planned
-// network front end reuses it as its wire encoding.
+// version.  Format 2 changed only the checksum (checksum64_v2, word at a
+// time); format 1 files (checksum64, byte at a time) are still read, and
+// only format 2 is written.  A file's header decides the checksum of every
+// record in it, so no file mixes the two.  This framing is deliberately
+// transport-shaped — the network front end reuses it as its wire encoding,
+// where the handshake decides the version instead of a header.
 //
 // Corruption tolerance (scan_records): a truncated tail stops the scan
 // cleanly; a record whose checksum does not match its payload is skipped
@@ -35,7 +39,7 @@ namespace qross::io {
 
 inline constexpr std::array<std::uint8_t, 8> kSnapshotMagic = {
     'Q', 'R', 'O', 'S', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Record types.  Values are part of the format: never renumber, only add.
 /// Types 1..15 are snapshot records; 16+ are network protocol frames
@@ -69,6 +73,7 @@ enum class HeaderStatus {
   future_version,  ///< written by a newer build; refused, not guessed at
 };
 
+/// Writes the header of a kFormatVersion file.
 void write_header(ByteWriter& out);
 
 /// Parses and validates the header, advancing `in` past it on success.
@@ -76,9 +81,16 @@ void write_header(ByteWriter& out);
 /// future, so diagnostics can name it.
 HeaderStatus read_header(ByteReader& in, std::uint32_t* version = nullptr);
 
-/// Frames `payload` as one record (size, type, checksum, bytes).
+/// The record checksum of format (or wire protocol) `version`, which both
+/// number alike: checksum64 for version 1, checksum64_v2 from version 2 on.
+std::uint64_t record_checksum(std::uint32_t version,
+                              std::span<const std::uint8_t> payload);
+
+/// Frames `payload` as one record (size, type, checksum, bytes), with the
+/// checksum of `version`.
 void write_record(ByteWriter& out, std::uint32_t type,
-                  std::span<const std::uint8_t> payload);
+                  std::span<const std::uint8_t> payload,
+                  std::uint32_t version);
 
 struct ScanStats {
   std::size_t records = 0;  ///< records delivered to the sink
@@ -87,13 +99,14 @@ struct ScanStats {
 };
 
 /// Walks the records after the header (the caller consumes the header via
-/// read_header first).  For each well-framed record whose checksum matches,
+/// read_header first, which names the `version` whose checksum every record
+/// carries).  For each well-framed record whose checksum matches,
 /// calls sink(type, payload); a sink returning false counts the record as
 /// skipped (e.g. its inner payload failed to decode).  Never throws on
 /// malformed framing: a bad checksum skips one record, an impossible or
 /// truncated length ends the scan with `truncated = true`.
 ScanStats scan_records(
-    ByteReader& in,
+    ByteReader& in, std::uint32_t version,
     const std::function<bool(std::uint32_t type,
                              std::span<const std::uint8_t> payload)>& sink);
 

@@ -34,6 +34,17 @@ bool Client::handshake(std::string* error) {
   if (!pump(io::kRecordNetHelloAck, 0, config_.connect_timeout_ms, error)) {
     return false;
   }
+  if (ack_.protocol_version == 0 || ack_.protocol_version > kProtocolVersion) {
+    if (error != nullptr) {
+      *error = "server acknowledged protocol version " +
+               std::to_string(ack_.protocol_version) + ", offered " +
+               std::to_string(kProtocolVersion);
+    }
+    return false;
+  }
+  // pump() stopped right at the HelloAck, so no later frame was verified
+  // yet: from here on both directions carry the accepted version.
+  in_.set_version(ack_.protocol_version);
   return true;
 }
 
@@ -65,7 +76,7 @@ bool Client::send_frame(std::uint32_t type,
                         std::span<const std::uint8_t> payload) {
   if (!sock_.valid()) return false;
   out_.clear();
-  append_frame(out_, type, payload);
+  append_frame(out_, type, payload, in_.version());
   if (!sock_.send_all(out_.data(), out_.size())) {
     sock_.close();
     return false;

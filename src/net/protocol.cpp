@@ -518,16 +518,18 @@ std::string decode_text(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> frame(std::uint32_t type,
-                                std::span<const std::uint8_t> payload) {
+                                std::span<const std::uint8_t> payload,
+                                std::uint32_t version) {
   std::vector<std::uint8_t> out;
-  append_frame(out, type, payload);
+  append_frame(out, type, payload, version);
   return out;
 }
 
 void append_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
-                  std::span<const std::uint8_t> payload) {
+                  std::span<const std::uint8_t> payload,
+                  std::uint32_t version) {
   io::ByteWriter writer(std::move(out));
-  io::write_record(writer, type, payload);
+  io::write_record(writer, type, payload, version);
   out = writer.take();
 }
 
@@ -559,7 +561,7 @@ FrameBuffer::Status FrameBuffer::next(Frame* out) {
   }
   if (available < kHeader + size) return Status::need_more;
   const auto payload = reader.raw(size);
-  if (io::checksum64(payload) != expected) {
+  if (io::record_checksum(version_, payload) != expected) {
     broken_ = true;
     return Status::bad_frame;
   }

@@ -3,18 +3,22 @@
 // Wire protocol of the QROSS network front end.
 //
 // A frame IS an io/snapshot record — u32 payload size | u32 record type |
-// u64 checksum64(payload) | payload, all little-endian — so the persistence
-// layer's framing, checksum, and codec code is the wire encoding
-// (io::RecordType values 16+ are the frame types).  On top of that framing:
+// u64 io::record_checksum(version, payload) | payload, all little-endian —
+// so the persistence layer's framing, checksum, and codec code is the wire
+// encoding (io::RecordType values 16+ are the frame types).  On top of that
+// framing:
 //
 //   * every connection opens with a version-negotiated handshake: the
 //     client sends Hello{protocol_version}, the server answers
 //     HelloAck{accepted version, frame size limit} or an Error frame for a
 //     FUTURE version (a newer client must not guess at an older server's
 //     semantics; it sees the server's version in the error and may retry
-//     lower).  Within a version, unknown frame types get an Error reply
-//     but do not kill the connection — mirroring the snapshot scanner's
-//     skip-unknown-records rule;
+//     lower).  Hello, HelloAck and any Error frame before HelloAck carry
+//     the kHandshakeVersion (v1) checksum; every later frame on the
+//     connection carries the accepted version's.  Within a version,
+//     unknown frame types get an Error reply but do not kill the
+//     connection — mirroring the snapshot scanner's skip-unknown-records
+//     rule;
 //   * requests carry a client-chosen u64 tag echoed by every reply, so one
 //     connection multiplexes many in-flight jobs;
 //   * malformed framing (bad checksum, oversized or truncated frame) is a
@@ -24,6 +28,7 @@
 // Versioning rules (mirrors io/snapshot): kProtocolVersion only ever
 // increments; frame types and payload fields are append-only within a
 // version; a server keeps accepting every older version it ever shipped.
+// Version 2 changed only the frame checksum (io::checksum64_v2).
 
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +46,10 @@
 
 namespace qross::net {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
+/// The version whose checksum frames the handshake (Hello, HelloAck, and
+/// any Error frame before HelloAck), whatever version the peers negotiate.
+inline constexpr std::uint32_t kHandshakeVersion = 1;
 /// Frames larger than this are rejected with kErrOversizedFrame before the
 /// payload is buffered — a corrupt length field must not allocate 256 MiB.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 26;  // 64 MiB
@@ -303,15 +311,18 @@ TuneResultFrame decode_tune_result(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_text(const std::string& text);
 std::string decode_text(std::span<const std::uint8_t> payload);
 
-/// Wraps a payload in record framing, ready to send.
+/// Wraps a payload in record framing, ready to send, with the checksum of
+/// protocol `version`.  A frame's size does not depend on its version.
 std::vector<std::uint8_t> frame(std::uint32_t type,
-                                std::span<const std::uint8_t> payload);
+                                std::span<const std::uint8_t> payload,
+                                std::uint32_t version = kHandshakeVersion);
 
 /// Appends the framed record to `out` — byte for byte what frame() returns,
 /// without the temporary — so a send buffer collects many frames and goes
 /// out in one write.
 void append_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
-                  std::span<const std::uint8_t> payload);
+                  std::span<const std::uint8_t> payload,
+                  std::uint32_t version = kHandshakeVersion);
 
 // --- incremental frame splitter ---------------------------------------------
 
@@ -326,6 +337,12 @@ struct Frame {
 /// scanner, a socket cannot skip-and-resync past a bad record (there is no
 /// trailing data to re-anchor on), so the first framing violation latches a
 /// terminal error state.
+///
+/// next() verifies each frame with the checksum of version(): a stream
+/// starts at kHandshakeVersion, and its owner calls set_version() once the
+/// handshake settles, so the frames after it verify at the negotiated
+/// version.  The owner also frames what it sends at version(), which makes
+/// the buffer the connection's one record of its version.
 class FrameBuffer {
  public:
   enum class Status {
@@ -342,12 +359,16 @@ class FrameBuffer {
 
   Status next(Frame* out);
 
+  std::uint32_t version() const { return version_; }
+  void set_version(std::uint32_t version) { version_ = version; }
+
   /// True when bytes of an incomplete frame are sitting in the buffer —
   /// an EOF now means the peer died mid-frame (kErrTruncatedFrame).
   bool mid_frame() const { return buffer_.size() > consumed_; }
 
  private:
   std::uint32_t max_frame_bytes_;
+  std::uint32_t version_ = kHandshakeVersion;
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_ = 0;  // compacted lazily
   bool broken_ = false;

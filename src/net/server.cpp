@@ -75,7 +75,7 @@ struct Server::Impl {
     /// "conn-<id>" so each anonymous connection is its own quota bucket.
     std::string client_id;
     Socket sock;
-    FrameBuffer in;
+    FrameBuffer in;  // its version() frames both directions
     std::vector<std::uint8_t> out;  // unsent frame bytes, FIFO
     std::size_t out_offset = 0;
     bool handshaken = false;
@@ -242,7 +242,7 @@ struct Server::Impl {
                    std::span<const std::uint8_t> payload) {
     ctr_frames_sent->inc();
     obs::ScopedSpan span("frame_encode", "net");
-    append_frame(conn->out, type, payload);
+    append_frame(conn->out, type, payload, conn->in.version());
   }
 
   /// Admission/lifecycle refusals (draining, quota): the peer used the
@@ -483,8 +483,13 @@ struct Server::Impl {
                    {{"conn", std::to_string(conn->id)},
                     {"client_id", conn->client_id},
                     {"protocol", std::to_string(hello.protocol_version)}});
+    // The ack names the version the client offered (every version up to
+    // ours is served) and is itself still a handshake frame; the frames
+    // after it, both ways, carry that version's checksum.
     queue_frame(conn, io::kRecordNetHelloAck,
-                encode_hello_ack({.max_frame_bytes = config.max_frame_bytes}));
+                encode_hello_ack({.protocol_version = hello.protocol_version,
+                                  .max_frame_bytes = config.max_frame_bytes}));
+    conn->in.set_version(hello.protocol_version);
   }
 
   void handle_frame(Connection* conn, const Frame& f) EXCLUDES(m) {

@@ -11,29 +11,12 @@ namespace qross::service {
 
 namespace {
 
-// One lane of the word stream.  Each step xors a 64-bit word into the state,
-// multiplies by an odd constant and folds the high half back down with an
-// xorshift; all three are bijections of the state, so no word can collapse
-// it or cancel what came before.
-template <std::uint64_t kMul, int kShift>
-struct Lane {
-  std::uint64_t state;
-
-  void mix(std::uint64_t word) {
-    state ^= word;
-    state *= kMul;
-    state ^= state >> kShift;
-  }
-
-  std::uint64_t digest() const { return splitmix_finalize(state); }
-};
-
-// Two decorrelated lanes (own seed, multiplier and shift) fed by one pass
+// Two decorrelated HashLanes (own seed, multiplier and shift) fed by one pass
 // over the stream — the model walk runs on every submit, so it must not run
 // per lane.
 struct DualHash {
-  Lane<0x9e3779b97f4a7c15ULL, 32> hi{0xcbf29ce484222325ULL};
-  Lane<0xff51afd7ed558ccdULL, 29> lo{0x84222325cbf29ce4ULL};
+  HashLane<0x9e3779b97f4a7c15ULL, 32> hi{0xcbf29ce484222325ULL};
+  HashLane<0xff51afd7ed558ccdULL, 29> lo{0x84222325cbf29ce4ULL};
 
   DualHash& mix(std::uint64_t word) {
     hi.mix(word);

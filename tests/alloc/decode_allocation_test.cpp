@@ -214,6 +214,7 @@ TEST(ClientAllocation, SubmitAllocationsDoNotGrowWithTheModel) {
           const auto ack =
               net::frame(io::kRecordNetHelloAck, net::encode_hello_ack({}));
           conn.send_all(ack.data(), ack.size());
+          in.set_version(net::kProtocolVersion);
         }
       }
     }

@@ -209,18 +209,19 @@ TEST_F(IoTest, ScanSkipsBadChecksumAndKeepsFraming) {
   write_header(out);
   const std::vector<std::uint8_t> p1 = {1, 2, 3, 4};
   const std::vector<std::uint8_t> p2 = {9, 9};
-  write_record(out, kRecordCacheEntry, p1);
-  write_record(out, kRecordCacheEntry, p2);
+  write_record(out, kRecordCacheEntry, p1, kFormatVersion);
+  write_record(out, kRecordCacheEntry, p2, kFormatVersion);
   auto bytes = out.take();
   bytes[16 + 16 + 1] ^= 0xFF;  // flip a byte inside record 1's payload
 
   ByteReader in(bytes);
   ASSERT_EQ(read_header(in), HeaderStatus::ok);
   std::vector<std::size_t> sizes;
-  const auto stats = scan_records(in, [&](std::uint32_t, auto payload) {
-    sizes.push_back(payload.size());
-    return true;
-  });
+  const auto stats = scan_records(
+      in, kFormatVersion, [&](std::uint32_t, auto payload) {
+        sizes.push_back(payload.size());
+        return true;
+      });
   EXPECT_EQ(stats.records, 1u);  // record 2 survives
   EXPECT_EQ(stats.skipped, 1u);
   EXPECT_FALSE(stats.truncated);
@@ -231,14 +232,17 @@ TEST_F(IoTest, ScanSkipsBadChecksumAndKeepsFraming) {
 TEST_F(IoTest, ScanStopsCleanlyOnTruncatedTail) {
   ByteWriter out;
   write_header(out);
-  write_record(out, kRecordCacheEntry, std::vector<std::uint8_t>(100, 7));
-  write_record(out, kRecordCacheEntry, std::vector<std::uint8_t>(50, 8));
+  write_record(out, kRecordCacheEntry, std::vector<std::uint8_t>(100, 7),
+               kFormatVersion);
+  write_record(out, kRecordCacheEntry, std::vector<std::uint8_t>(50, 8),
+               kFormatVersion);
   auto bytes = out.take();
   bytes.resize(bytes.size() - 30);  // tear the second record's payload
 
   ByteReader in(bytes);
   ASSERT_EQ(read_header(in), HeaderStatus::ok);
-  const auto stats = scan_records(in, [](std::uint32_t, auto) { return true; });
+  const auto stats = scan_records(in, kFormatVersion,
+                                  [](std::uint32_t, auto) { return true; });
   EXPECT_EQ(stats.records, 1u);
   EXPECT_TRUE(stats.truncated);
 }
@@ -258,6 +262,117 @@ TEST_F(IoTest, HeaderRejectsForeignAndFutureFiles) {
     std::uint32_t version = 0;
     EXPECT_EQ(read_header(in, &version), HeaderStatus::future_version);
     EXPECT_GT(version, kFormatVersion);
+  }
+}
+
+// --- record checksums -------------------------------------------------------
+
+std::vector<std::uint8_t> read_golden(const std::string& name) {
+  const auto bytes = read_file(std::string(QROSS_TEST_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(bytes.has_value()) << name;
+  return bytes.value_or(std::vector<std::uint8_t>{});
+}
+
+/// Re-frames every record of a snapshot-format file at `version`, payloads
+/// untouched: the file an older (or newer) writer makes of the same entries.
+std::vector<std::uint8_t> reframe(std::span<const std::uint8_t> file,
+                                  std::uint32_t version) {
+  ByteReader in(file);
+  std::uint32_t from = 0;
+  EXPECT_EQ(read_header(in, &from), HeaderStatus::ok);
+  ByteWriter out(
+      std::vector<std::uint8_t>(kSnapshotMagic.begin(), kSnapshotMagic.end()));
+  out.u32(version);
+  out.u32(0);  // flags
+  const auto stats = scan_records(
+      in, from, [&](std::uint32_t type, std::span<const std::uint8_t> payload) {
+        write_record(out, type, payload, version);
+        return true;
+      });
+  EXPECT_EQ(stats.skipped, 0u);
+  return out.take();
+}
+
+TEST_F(IoTest, RecordChecksumFollowsTheVersion) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(record_checksum(1, payload), checksum64(payload));
+  EXPECT_EQ(record_checksum(2, payload), checksum64_v2(payload));
+  EXPECT_NE(checksum64(payload), checksum64_v2(payload));
+}
+
+// checksum64_v2 spelled out the slow way: the payload zero-padded to whole
+// little-endian words, word i into lane i % 4, then the byte length and the
+// four lanes through one more lane.
+std::uint64_t reference_checksum_v2(std::span<const std::uint8_t> bytes) {
+  using Lane = HashLane<0x9e3779b97f4a7c15ULL, 32>;
+  Lane lanes[4] = {{0xC5C5C5C5C5C5C5C5ULL},
+                   {0x5C5C5C5C5C5C5C5CULL},
+                   {0xA3A3A3A3A3A3A3A3ULL},
+                   {0x3A3A3A3A3A3A3A3AULL}};
+  for (std::size_t i = 0; 8 * i < bytes.size(); ++i) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 8 && 8 * i + k < bytes.size(); ++k) {
+      word |= static_cast<std::uint64_t>(bytes[8 * i + k]) << (8 * k);
+    }
+    lanes[i % 4].mix(word);
+  }
+  Lane fold{bytes.size()};
+  for (const Lane& lane : lanes) fold.mix(lane.state);
+  return fold.digest();
+}
+
+// Sizes 0..40 cover every tail length (0..7 bytes) after 0..4 whole words,
+// so every lane takes leftovers and padded tails.  Any one flipped bit, and
+// any zero byte appended (the padding the tail word already holds), changes
+// the checksum.
+TEST_F(IoTest, WordChecksumCoversEveryTailLength) {
+  Rng rng(23);
+  for (std::size_t size = 0; size <= 40; ++size) {
+    std::vector<std::uint8_t> payload(size);
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t sum = checksum64_v2(payload);
+    EXPECT_EQ(sum, reference_checksum_v2(payload)) << "size " << size;
+    for (std::size_t at = 0; at < size; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        payload[at] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(checksum64_v2(payload), sum)
+            << "size " << size << " byte " << at << " bit " << bit;
+        payload[at] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+    auto padded = payload;
+    padded.push_back(0);
+    EXPECT_NE(checksum64_v2(padded), sum) << "size " << size;
+  }
+}
+
+// Every byte a v2 record's checksum covers — the checksum field itself and
+// each payload byte — fails the record when flipped; the scan skips it and
+// stays framed.  (The size and type fields are outside the checksum, as in
+// v1: a flipped size field tears the framing instead.)
+TEST_F(IoTest, EveryFlippedByteOfAVersionTwoRecordIsSkipped) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes_v2.txt");
+  const auto journal = read_golden("golden_cache_v2.qsnap.journal");
+  ASSERT_TRUE(golden.contains("cache_record"));
+  const std::size_t record_bytes = golden.at("cache_record").size() / 2;
+  ASSERT_GE(journal.size(), 16 + record_bytes);
+  std::vector<std::uint8_t> file(journal.begin(),
+                                 journal.begin() + 16 + record_bytes);
+  for (std::size_t at = 16 + 8; at < file.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      file[at] ^= mask;
+      ByteReader in(file);
+      std::uint32_t version = 0;
+      ASSERT_EQ(read_header(in, &version), HeaderStatus::ok);
+      ASSERT_EQ(version, 2u);
+      const auto stats =
+          scan_records(in, version, [](std::uint32_t, auto) { return true; });
+      EXPECT_EQ(stats.skipped, 1u) << "byte " << at << " mask " << int{mask};
+      EXPECT_EQ(stats.records, 0u);
+      EXPECT_FALSE(stats.truncated);
+      file[at] ^= mask;
+    }
   }
 }
 
@@ -289,29 +404,53 @@ TEST_F(IoTest, StoreAppendLoadRoundTrip) {
 }
 
 // tests/data/golden_cache.qsnap.journal was written by CacheStore::append
-// with the byte-at-a-time codecs, from the entries in golden_fixtures.hpp.
+// at format 1 with the byte-at-a-time codecs, from the entries in
+// golden_fixtures.hpp; golden_cache_v2.qsnap.journal holds the same records
+// as the format 2 writer frames them.
 
 TEST_F(IoTest, JournalBytesMatchTheGoldenJournal) {
-  const auto golden_journal = read_file(std::string(QROSS_TEST_DATA_DIR) +
-                                        "/golden_cache.qsnap.journal");
-  ASSERT_TRUE(golden_journal.has_value());
+  const auto golden_journal = read_golden("golden_cache_v2.qsnap.journal");
   CacheStore store({.path = path("cache.qsnap")});
   for (const auto& entry : testing::golden::cache_entries()) {
     ASSERT_TRUE(store.append(entry));
   }
   const auto written = read_file(store.journal_path());
   ASSERT_TRUE(written.has_value());
-  EXPECT_EQ(*written, *golden_journal);
+  EXPECT_EQ(*written, golden_journal);
 
   // The first record on its own, as the golden table spells it out.
   const auto golden = testing::golden::read_hex_table(
-      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes.txt");
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes_v2.txt");
   ASSERT_TRUE(golden.contains("cache_record"));
   const std::size_t record_bytes = golden.at("cache_record").size() / 2;
   ASSERT_GE(written->size(), 16 + record_bytes);
   EXPECT_EQ(testing::golden::to_hex(std::span<const std::uint8_t>(
                 written->data() + 16, record_bytes)),
             golden.at("cache_record"));
+}
+
+// The v1 record writer stays byte-exact: re-framing the v1 golden journal at
+// version 1 reproduces it, its first record is golden_bytes.txt's
+// cache_record row, and at version 2 it becomes the v2 golden journal.
+TEST_F(IoTest, VersionOneRecordsMatchTheGoldenBytes) {
+  const auto v1 = read_golden("golden_cache.qsnap.journal");
+  const auto v2 = read_golden("golden_cache_v2.qsnap.journal");
+  EXPECT_EQ(reframe(v1, 1), v1);
+  EXPECT_EQ(reframe(v1, 2), v2);
+  EXPECT_EQ(reframe(v2, 1), v1);
+
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes.txt");
+  ASSERT_TRUE(golden.contains("cache_record"));
+  const std::size_t record_bytes = golden.at("cache_record").size() / 2;
+  ASSERT_GE(v1.size(), 16 + record_bytes);
+  ByteReader in(std::span<const std::uint8_t>(v1.data() + 16, record_bytes));
+  const std::uint32_t size = in.u32();
+  in.u32();  // type
+  in.u64();  // checksum
+  ByteWriter record;
+  write_record(record, kRecordCacheEntry, in.raw(size), 1);
+  EXPECT_EQ(testing::golden::to_hex(record.bytes()), golden.at("cache_record"));
 }
 
 TEST_F(IoTest, GoldenJournalLoadsBitIdentically) {
@@ -331,6 +470,93 @@ TEST_F(IoTest, GoldenJournalLoadsBitIdentically) {
   }
   // Compaction keeps the newest record per key: 3 distinct keys.
   EXPECT_EQ(store.compact(), 3u);
+}
+
+/// The format version in a snapshot-format file's header.
+std::uint32_t file_version(const std::string& file) {
+  const auto bytes = read_file(file);
+  if (!bytes.has_value()) return 0;
+  ByteReader in(*bytes);
+  std::uint32_t version = 0;
+  read_header(in, &version);
+  return version;
+}
+
+// A cache directory left by a format 1 build: both files still load, the
+// first append compacts the v1 journal away before starting a v2 one (no
+// file ever mixes v1 and v2 records), and after a compaction everything
+// reloads bit-identically from one v2 snapshot.
+TEST_F(IoTest, VersionOneCacheDirectoryUpgradesOnFirstAppend) {
+  {
+    CacheStore writer({.path = path("v2.qsnap")});
+    ASSERT_TRUE(writer.append(make_entry(100)));
+    ASSERT_TRUE(writer.append(make_entry(101, 5, 64)));
+    ASSERT_EQ(writer.compact(), 2u);
+  }
+  const auto snapshot_v1 = reframe(*read_file(path("v2.qsnap")), 1);
+  ASSERT_TRUE(write_file_atomic(path("cache.qsnap"), snapshot_v1));
+  std::filesystem::copy_file(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_cache.qsnap.journal",
+      path("cache.qsnap.journal"));
+  ASSERT_EQ(file_version(path("cache.qsnap")), 1u);
+  ASSERT_EQ(file_version(path("cache.qsnap.journal")), 1u);
+
+  std::vector<CacheEntry> expected = {make_entry(100), make_entry(101, 5, 64)};
+  for (const auto& entry : testing::golden::cache_entries()) {
+    expected.push_back(entry);
+  }
+  CacheStore store({.path = path("cache.qsnap")});
+  const auto loaded = load_all(store);
+  EXPECT_EQ(store.load_skipped(), 0u);
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(loaded[k].key, expected[k].key);
+    expect_bit_identical(*loaded[k].batch, *expected[k].batch);
+  }
+
+  const auto added = make_entry(102);
+  ASSERT_TRUE(store.append(added));
+  EXPECT_EQ(file_version(path("cache.qsnap")), kFormatVersion)
+      << "the v1 journal was compacted into a v2 snapshot";
+  EXPECT_EQ(file_version(path("cache.qsnap.journal")), kFormatVersion);
+  EXPECT_EQ(store.info().skipped_records, 0u);
+  EXPECT_EQ(store.compact(), 6u);  // 5 distinct keys before, plus one
+  EXPECT_FALSE(std::filesystem::exists(store.journal_path()));
+
+  // The golden journal's last record re-used its first key: newest wins.
+  expected.erase(expected.begin() + 2);
+  expected.push_back(added);
+  CacheStore reader({.path = path("cache.qsnap")});
+  const auto reloaded = load_all(reader);
+  EXPECT_EQ(reader.load_skipped(), 0u);
+  ASSERT_EQ(reloaded.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(reloaded[k].key, expected[k].key);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reloaded[k].run_ms),
+              std::bit_cast<std::uint64_t>(expected[k].run_ms));
+    expect_bit_identical(*reloaded[k].batch, *expected[k].batch);
+  }
+}
+
+// A v1 snapshot with no journal needs no compaction: the new v2 journal
+// sits beside it, and each file is read at its own version.
+TEST_F(IoTest, VersionOneSnapshotTakesAVersionTwoJournalBeside) {
+  {
+    CacheStore writer({.path = path("v2.qsnap")});
+    ASSERT_TRUE(writer.append(make_entry(7)));
+    ASSERT_EQ(writer.compact(), 1u);
+  }
+  ASSERT_TRUE(write_file_atomic(path("cache.qsnap"),
+                                reframe(*read_file(path("v2.qsnap")), 1)));
+  CacheStore store({.path = path("cache.qsnap")});
+  ASSERT_TRUE(store.append(make_entry(8)));
+  EXPECT_EQ(file_version(path("cache.qsnap")), 1u);
+  EXPECT_EQ(file_version(store.journal_path()), kFormatVersion);
+  const auto loaded = load_all(store);
+  EXPECT_EQ(store.load_skipped(), 0u);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].key, make_entry(7).key);
+  EXPECT_EQ(loaded[1].key, make_entry(8).key);
 }
 
 TEST_F(IoTest, CompactMergesNewestWinsAndRemovesJournal) {

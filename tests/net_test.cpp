@@ -337,11 +337,52 @@ TEST(NetProtocolTest, SubmitAndResultFramesMatchTheGoldenBytes) {
   ASSERT_TRUE(golden.contains("submit_job"));
   ASSERT_TRUE(golden.contains("result_batch"));
   const auto submit = frame(io::kRecordNetSubmitJob,
-                            encode_submit(testing::golden::submit()));
+                            encode_submit(testing::golden::submit()), 1);
   EXPECT_EQ(testing::golden::to_hex(submit), golden.at("submit_job"));
   const auto result = frame(io::kRecordNetResult,
-                            encode_result(testing::golden::result()));
+                            encode_result(testing::golden::result()), 1);
   EXPECT_EQ(testing::golden::to_hex(result), golden.at("result_batch"));
+}
+
+// golden_bytes_v2.txt: the same payloads framed at protocol version 2.
+TEST(NetProtocolTest, VersionTwoFramesMatchTheirGoldenBytes) {
+  const auto golden = testing::golden::read_hex_table(
+      std::string(QROSS_TEST_DATA_DIR) + "/golden_bytes_v2.txt");
+  ASSERT_TRUE(golden.contains("submit_job"));
+  ASSERT_TRUE(golden.contains("result_batch"));
+  const auto submit = frame(io::kRecordNetSubmitJob,
+                            encode_submit(testing::golden::submit()), 2);
+  EXPECT_EQ(testing::golden::to_hex(submit), golden.at("submit_job"));
+  const auto result = frame(io::kRecordNetResult,
+                            encode_result(testing::golden::result()), 2);
+  EXPECT_EQ(testing::golden::to_hex(result), golden.at("result_batch"));
+}
+
+// Every byte the checksum covers — the checksum field and each payload
+// byte — latches a v2 stream as bad_frame when flipped.  The frame's size
+// does not depend on its version.
+TEST(NetProtocolTest, EveryFlippedByteOfAVersionTwoFrameIsABadFrame) {
+  const auto payload = encode_submit(testing::golden::submit());
+  auto bytes = frame(io::kRecordNetSubmitJob, payload, 2);
+  ASSERT_EQ(bytes.size(), frame(io::kRecordNetSubmitJob, payload, 1).size());
+  for (std::size_t at = 8; at < bytes.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      bytes[at] ^= mask;
+      FrameBuffer buffer;
+      buffer.set_version(2);
+      buffer.append(bytes.data(), bytes.size());
+      Frame out;
+      EXPECT_EQ(buffer.next(&out), FrameBuffer::Status::bad_frame)
+          << "byte " << at << " mask " << int{mask};
+      bytes[at] ^= mask;
+    }
+  }
+  FrameBuffer intact;
+  intact.set_version(2);
+  intact.append(bytes.data(), bytes.size());
+  Frame out;
+  ASSERT_EQ(intact.next(&out), FrameBuffer::Status::frame);
+  EXPECT_EQ(out.payload, payload);
 }
 
 TEST(NetProtocolTest, AppendFrameEqualsFrameByteForByte) {
@@ -746,11 +787,55 @@ TEST_F(NetServerTest, FutureProtocolVersionGetsACleanErrorFrame) {
   EXPECT_FALSE(raw.read_frame().has_value());
 }
 
+// A v1 peer: Hello{1} is acknowledged as version 1, and every later frame
+// carries the v1 checksum both ways (the raw peer verifies the Result at
+// v1).  A v2 checksum on that connection is a stream error.
+TEST_F(NetServerTest, VersionOneHelloIsAckedAndServedAtVersionOne) {
+  const auto endpoint = start_tcp();
+  SubmitJobFrame submit;
+  submit.tag = 1;
+  submit.solver = quick_job().solver;
+  submit.num_replicas = quick_job().num_replicas;
+  submit.num_sweeps = quick_job().num_sweeps;
+  submit.model = quick_job().model;
+  const auto payload = encode_submit(submit);
+  const auto hello_v1 = [](RawConnection& raw) {
+    HelloFrame hello;
+    hello.protocol_version = 1;
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetHello, encode_hello(hello)));
+    const auto ack = raw.read_frame();
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, io::kRecordNetHelloAck);
+    EXPECT_EQ(decode_hello_ack(ack->payload).protocol_version, 1u);
+  };
+  {
+    RawConnection raw(endpoint);
+    hello_v1(raw);
+    ASSERT_TRUE(raw.send_bytes(frame(io::kRecordNetSubmitJob, payload, 1)));
+    const auto reply = raw.read_frame(std::chrono::seconds(30));
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, io::kRecordNetResult);
+    const auto result = decode_result(reply->payload);
+    EXPECT_EQ(result.tag, 1u);
+    EXPECT_EQ(result.status, service::JobStatus::done) << result.error;
+  }
+  {
+    RawConnection raw(endpoint);
+    hello_v1(raw);
+    ASSERT_TRUE(raw.send_bytes(frame(io::kRecordNetSubmitJob, payload, 2)));
+    const auto reply = raw.read_frame();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, io::kRecordNetError);
+    EXPECT_EQ(decode_error(reply->payload).code, kErrBadFrame);
+    EXPECT_FALSE(raw.read_frame().has_value());
+  }
+}
+
 TEST_F(NetServerTest, FlippedChecksumByteGetsACleanErrorFrame) {
   const auto endpoint = start_tcp();
   RawConnection raw(endpoint);
   ASSERT_TRUE(raw.handshake());
-  auto bytes = frame(io::kRecordNetGetMetrics, {});
+  auto bytes = frame(io::kRecordNetGetMetrics, {}, kProtocolVersion);
   bytes[8] ^= 0x01;  // corrupt the checksum field
   ASSERT_TRUE(raw.send_bytes(bytes));
   const auto reply = raw.read_frame();
@@ -930,7 +1015,7 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
     std::uint8_t buf[65536];
     const auto reply = [&](std::uint32_t type,
                            std::span<const std::uint8_t> payload) {
-      const auto bytes = frame(type, payload);
+      const auto bytes = frame(type, payload, in.version());
       conn.send_all(bytes.data(), bytes.size());
     };
     bool finished = false;
@@ -942,6 +1027,7 @@ TEST_F(NetServerTest, DrainingRefusalIsRetriedWithBackoffUntilAccepted) {
       while (in.next(&f) == FrameBuffer::Status::frame) {
         if (f.type == io::kRecordNetHello) {
           reply(io::kRecordNetHelloAck, encode_hello_ack({}));
+          in.set_version(kProtocolVersion);
         } else if (f.type == io::kRecordNetSubmitJob) {
           payloads.push_back(f.payload);
           const auto submit = decode_submit(f.payload);
@@ -1506,6 +1592,7 @@ TEST_F(NetServerTest, SlowReaderGetsEveryResultIntactAndBlocksNoOne) {
   ASSERT_TRUE(slow.send_all(hello.data(), hello.size()));
   ASSERT_TRUE(read_frame());
   ASSERT_EQ(f.type, io::kRecordNetHelloAck);
+  in.set_version(kProtocolVersion);
 
   constexpr std::uint64_t kJobs = 160;  // ~10 MiB of Result frames
   std::vector<std::uint8_t> submits;
@@ -1517,7 +1604,8 @@ TEST_F(NetServerTest, SlowReaderGetsEveryResultIntactAndBlocksNoOne) {
     submit.num_sweeps = job.num_sweeps;
     submit.seed = job.seed;
     submit.model = job.model;
-    append_frame(submits, io::kRecordNetSubmitJob, encode_submit(submit));
+    append_frame(submits, io::kRecordNetSubmitJob, encode_submit(submit),
+                 kProtocolVersion);
   }
   ASSERT_TRUE(slow.send_all(submits.data(), submits.size()));
   ASSERT_TRUE(eventually(

@@ -557,7 +557,7 @@ TEST_F(NetTuneTest, RetryableTuneRefusalIsResubmittedUntilAccepted) {
     std::uint8_t buf[65536];
     const auto reply = [&](std::uint32_t type,
                            std::span<const std::uint8_t> payload) {
-      const auto bytes = frame(type, payload);
+      const auto bytes = frame(type, payload, in.version());
       conn.send_all(bytes.data(), bytes.size());
     };
     // Reads until the client hangs up, so a third SubmitTune is counted too.
@@ -569,6 +569,7 @@ TEST_F(NetTuneTest, RetryableTuneRefusalIsResubmittedUntilAccepted) {
       while (in.next(&f) == FrameBuffer::Status::frame) {
         if (f.type == io::kRecordNetHello) {
           reply(io::kRecordNetHelloAck, encode_hello_ack({}));
+          in.set_version(kProtocolVersion);
         } else if (f.type == io::kRecordNetSubmitTune) {
           const auto submit = decode_submit_tune(f.payload);
           if (++submits_seen == 1) {

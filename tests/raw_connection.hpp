@@ -3,6 +3,8 @@
 // Shared test helper: a raw protocol peer over a real socket.  It writes
 // frames byte-for-byte as given — tags, corrupt checksums, truncated
 // payloads — so tests can drive the server where net::Client never goes.
+// send_frame() and read_frame() follow the handshake's version rule: the
+// handshake version until a HelloAck arrives, the acknowledged one after.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +34,7 @@ class RawConnection {
   }
 
   bool send_frame(std::uint32_t type, std::span<const std::uint8_t> payload) {
-    return send_bytes(net::frame(type, payload));
+    return send_bytes(net::frame(type, payload, buffer_.version()));
   }
 
   /// Reads until one full frame arrives (or `timeout` passes).
@@ -43,7 +45,13 @@ class RawConnection {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
       const auto status = buffer_.next(&out);
-      if (status == net::FrameBuffer::Status::frame) return out;
+      if (status == net::FrameBuffer::Status::frame) {
+        if (out.type == io::kRecordNetHelloAck) {
+          buffer_.set_version(
+              net::decode_hello_ack(out.payload).protocol_version);
+        }
+        return out;
+      }
       if (status != net::FrameBuffer::Status::need_more) return std::nullopt;
       const long n = sock_.recv_some(buf, sizeof(buf), 100);
       if (n == -2) continue;
